@@ -82,7 +82,6 @@ hub::JobSpec spec_for(const std::vector<std::shared_ptr<const rtl::Module>>&
   // Per-design fixed seed: a failed-over resubmission is the same
   // computation, so digests must agree with the failure-free baseline.
   cfg.seed = 0xFEDull + d;
-  cfg.threads = 1;
   return hub::make_flow_job("job" + std::to_string(i), designs[d],
                             std::move(cfg));
 }

@@ -79,7 +79,6 @@ flow::FlowConfig config_for(std::size_t design_index) {
   // Per-design fixed seed: every submission of design D is the same
   // computation, so caches hit and digests must agree across topologies.
   cfg.seed = 0xFEDull + design_index;
-  cfg.threads = 1;  // many concurrent jobs; no nested parallelism
   return cfg;
 }
 

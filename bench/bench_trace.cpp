@@ -54,10 +54,6 @@ flow::FlowConfig mul16_config() {
   flow::FlowConfig cfg;
   cfg.node = pdk::standard_node("commercial28").value();
   cfg.quality = flow::FlowQuality::kCommercial;
-  // Serial on purpose: the overhead being measured is the per-site macro
-  // cost, which doesn't depend on the thread count, and pool scheduling
-  // jitter would otherwise dwarf the 1% budget under test.
-  cfg.threads = 1;
   return cfg;
 }
 

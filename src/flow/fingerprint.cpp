@@ -127,11 +127,6 @@ void hash_options(util::Hasher& h, const synth::MapOptions& o) {
   h.u8(static_cast<std::uint8_t>(o.objective)).boolean(o.size_for_load);
 }
 
-// The engine options' `threads` knobs are deliberately NOT hashed below:
-// every parallel kernel produces bit-identical artifacts at any thread
-// count, so including them would needlessly split the cache key space by
-// machine size — a FlowCache populated at threads=1 must hit at threads=8.
-
 void hash_options(util::Hasher& h, const place::PlacementOptions& o) {
   h.f64(o.target_utilization).i64(o.global_iterations);
   h.i64(o.spreading_rounds).i64(o.detailed_passes);

@@ -17,7 +17,6 @@
 #include "eurochip/synth/opt.hpp"
 #include "eurochip/util/strings.hpp"
 #include "eurochip/util/table.hpp"
-#include "eurochip/util/thread_pool.hpp"
 #include "eurochip/util/trace.hpp"
 
 namespace eurochip::flow {
@@ -514,10 +513,7 @@ util::Status step_map(FlowContext& ctx) {
 
   // Commercial effort: also try the other objective and keep the faster
   // result (area tie-break) — proprietary flows run multi-objective
-  // mapping trials; the open preset maps once. The trials (map + trial
-  // STA each) are independent and run concurrently; selection stays a
-  // fixed serial comparison, so the chosen netlist does not depend on the
-  // thread count.
+  // mapping trials; the open preset maps once.
   const bool dual_trial = ctx.config.quality == FlowQuality::kCommercial &&
                           !ctx.config.map_options.has_value();
   struct MapTrial {
@@ -535,21 +531,18 @@ util::Status step_map(FlowContext& ctx) {
                                  ? synth::MapObjective::kArea
                                  : synth::MapObjective::kDelay;
   }
-  util::parallel_for(
-      ctx.config.threads, trials.size(), /*grain=*/1, [&](std::size_t i) {
-        MapTrial& t = trials[i];
-        t.mapped.emplace(synth::map_to_library(
-            *ctx.artifacts.aig, *ctx.artifacts.library, t.mo, &t.stats));
-        if (!dual_trial || !t.mapped->ok()) return;
-        timing::StaOptions so;
-        so.clock_period_ps = ctx.config.effective_clock_ps();
-        so.threads = ctx.config.threads;
-        if (const auto rpt = timing::analyze(**t.mapped, ctx.config.node, so);
-            rpt.ok()) {
-          t.fmax_mhz = rpt->fmax_mhz;
-          t.timed = true;
-        }
-      });
+  for (MapTrial& t : trials) {
+    t.mapped.emplace(synth::map_to_library(
+        *ctx.artifacts.aig, *ctx.artifacts.library, t.mo, &t.stats));
+    if (!dual_trial || !t.mapped->ok()) continue;
+    timing::StaOptions so;
+    so.clock_period_ps = ctx.config.effective_clock_ps();
+    if (const auto rpt = timing::analyze(**t.mapped, ctx.config.node, so);
+        rpt.ok()) {
+      t.fmax_mhz = rpt->fmax_mhz;
+      t.timed = true;
+    }
+  }
   if (!trials[0].mapped->ok()) return trials[0].mapped->status();
   auto mapped = std::move(*trials[0].mapped);
   synth::MapStats stats = trials[0].stats;
@@ -627,9 +620,8 @@ util::Status step_place(FlowContext& ctx) {
   }
   const EffortKnobs k = knobs_for(ctx.config.quality, ctx.config.seed,
                                   ctx.config.utilization);
-  place::PlacementOptions po =
+  const place::PlacementOptions po =
       ctx.config.place_options.value_or(k.place_options);
-  if (po.threads == 0) po.threads = ctx.config.threads;
   place::PlaceStats stats;
   auto placed =
       place::place(*ctx.artifacts.mapped, ctx.config.node, po, &stats);
@@ -666,9 +658,8 @@ util::Status step_route(FlowContext& ctx) {
   }
   const EffortKnobs k = knobs_for(ctx.config.quality, ctx.config.seed,
                                   ctx.config.utilization);
-  route::RouteOptions ro =
+  const route::RouteOptions ro =
       ctx.config.route_options.value_or(k.route_options);
-  if (ro.threads == 0) ro.threads = ctx.config.threads;
   route::RouteStats stats;
   auto routed = route::route(*ctx.artifacts.placed, ctx.config.node, ro, &stats);
   if (!routed.ok()) return routed.status();
@@ -690,7 +681,6 @@ util::Status step_sta(FlowContext& ctx) {
   }
   timing::StaOptions so;
   so.clock_period_ps = ctx.config.effective_clock_ps();
-  so.threads = ctx.config.threads;
   if (ctx.artifacts.clock_tree) {
     so.clock_skew_ps = ctx.artifacts.clock_tree->skew_ps();
   }
@@ -712,8 +702,8 @@ util::Status step_power(FlowContext& ctx) {
   if (!ctx.artifacts.mapped) {
     return util::Status::FailedPrecondition("power requires map");
   }
-  power::PowerOptions po = ctx.config.power_options.value_or(power::PowerOptions{});
-  if (po.threads == 0) po.threads = ctx.config.threads;
+  const power::PowerOptions po =
+      ctx.config.power_options.value_or(power::PowerOptions{});
   auto report = power::estimate(*ctx.artifacts.mapped, ctx.config.node, po,
                                 ctx.artifacts.routed.get());
   if (!report.ok()) return report.status();
@@ -760,11 +750,8 @@ util::Status step_gds(FlowContext& ctx) {
 // (the design and node digests are already in the base key; upstream
 // artifacts are covered transitively by the key chain). Over-inclusion
 // would only cost hit rate; under-inclusion would serve stale artifacts —
-// when in doubt a knob is included. The one deliberate exception is
-// FlowConfig::threads (and the engine options' `threads` knobs, excluded
-// in fingerprint.cpp): parallel kernels produce bit-identical artifacts at
-// any thread count, so keys must span thread counts — a cache populated
-// single-threaded hits on an 8-thread run.
+// when in doubt a knob is included. FlowConfig::threads is read by no
+// step, so no fingerprint absorbs it.
 
 void fp_const(const FlowConfig&, util::Hasher&) {}
 

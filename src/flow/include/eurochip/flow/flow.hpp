@@ -29,15 +29,11 @@
 // both store and lookup deep-copy the artifacts, so no mutable artifact
 // state is ever aliased between runs or between a run and the cache — see
 // cache.hpp. The only process-wide mutable state in the stack is util's
-// log threshold, which is atomic, and the shared util::ThreadPool, whose
-// scheduling never leaks into results. eurochip::hub::JobServer relies on
-// this contract to run flows on a worker pool that shares one FlowCache.
+// log threshold, which is atomic. eurochip::hub::JobServer relies on this
+// contract to run flows on a worker pool that shares one FlowCache.
 //
-// In-flow parallelism (FlowConfig::threads) composes with that outer
-// concurrency: kernels borrow idle workers from the shared pool, the
-// calling thread always makes progress on its own loop, and artifacts are
-// bit-identical at any thread count — see DESIGN.md "Parallel execution
-// model".
+// Every kernel runs on the thread that called execute(); concurrency comes
+// from running many flows at once — see DESIGN.md "Execution model".
 #pragma once
 
 #include <functional>
@@ -80,13 +76,8 @@ struct FlowConfig {
   double clock_period_ps = 0.0;
   double utilization = 0.6;
   std::uint64_t seed = 1;
-  /// Parallelism for the in-flow kernels (place sweeps, route batches,
-  /// STA levels, power windows, map trials): 0 = auto (EUROCHIP_THREADS
-  /// or hardware concurrency), 1 = serial, N = cap at N. Forwarded to any
-  /// engine options whose own `threads` is 0 (explicit engine overrides
-  /// win). Artifacts are bit-identical at any thread count, so this knob
-  /// is deliberately excluded from all cache fingerprints — a FlowCache
-  /// populated at one thread count hits at any other.
+  /// Ignored: every flow kernel runs on the calling thread. Kept only so
+  /// existing callers that still assign it keep compiling.
   int threads = 0;
   /// Optional expert overrides (Recommendation 4 customization points).
   std::optional<int> synth_iterations;

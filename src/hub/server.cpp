@@ -270,9 +270,8 @@ void JobServer::run_job(const std::shared_ptr<Entry>& entry) {
   // only, never on worker interleaving.
   util::Rng rng(options_.seed ^ (kSeedMix * entry->record.id));
 
-  // Trace lineage: every span this job opens — on this worker or on any
-  // ThreadPool helper its flow publishes work to — carries the JobId as
-  // its track, so one job's activity can be isolated in the export.
+  // Trace lineage: every span this job opens carries the JobId as its
+  // track, so one job's activity can be isolated in the export.
   util::trace::ContextScope trace_scope({0, entry->record.id});
   util::trace::Span job_span;
   const double submit_ms = entry->record.submit_ms;

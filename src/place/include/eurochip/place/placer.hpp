@@ -1,9 +1,8 @@
-// Standard-cell placement: quadratic global placement (parallel Jacobi
-// sweeps over the connectivity star/clique model) with bin-based
-// spreading, Tetris legalization onto rows, and greedy in-row detailed
-// placement. I/O ports are assigned fixed pad positions on the die
-// boundary. All stages are deterministic for a fixed seed at any thread
-// count.
+// Standard-cell placement: quadratic global placement (Jacobi sweeps over
+// the connectivity star/clique model) with bin-based spreading, Tetris
+// legalization onto rows, and greedy in-row detailed placement. I/O ports
+// are assigned fixed pad positions on the die boundary. All stages are
+// deterministic for a fixed seed.
 #pragma once
 
 #include <cstdint>
@@ -24,10 +23,6 @@ struct PlacementOptions {
   int detailed_passes = 2;        ///< in-row swap passes
   bool random_only = false;       ///< skip global placement (ablation)
   std::uint64_t seed = 1;
-  /// Parallelism for the global-placement sweeps (0 = auto: EUROCHIP_THREADS
-  /// or hardware concurrency; 1 = serial). Results are bit-identical at any
-  /// thread count, so this knob is excluded from cache fingerprints.
-  int threads = 0;
 };
 
 /// A fully placed design: per-cell origins plus fixed pad positions.

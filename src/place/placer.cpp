@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "eurochip/util/thread_pool.hpp"
 #include "eurochip/util/trace.hpp"
 
 namespace eurochip::place {
@@ -88,9 +87,7 @@ Connectivity build_connectivity(const PlacedDesign& d) {
 
 /// Jacobi sweeps of the quadratic wirelength objective with periodic
 /// density spreading. Each sweep computes every cell's new position from
-/// the previous iteration's positions (double buffer), so cells are
-/// independent and the sweep parallelizes over the pool with bit-identical
-/// results at any thread count.
+/// the previous iteration's positions (double buffer).
 void global_place(PlacedDesign& d, const PlacementOptions& opt,
                   util::Rng& rng, PlaceStats* stats) {
   const Netlist& nl = *d.netlist;
@@ -125,15 +122,13 @@ void global_place(PlacedDesign& d, const PlacementOptions& opt,
 
   std::vector<double> nx(n);
   std::vector<double> ny(n);
-  std::vector<std::uint32_t> bin_of(n);
-  constexpr std::size_t kSweepGrain = 128;
 
   for (int iter = 0; iter < opt.global_iterations; ++iter) {
-    util::parallel_for(opt.threads, n, kSweepGrain, [&](std::size_t i) {
+    for (std::size_t i = 0; i < n; ++i) {
       if (weight[i] == 0.0) {
         nx[i] = x[i];
         ny[i] = y[i];
-        return;
+        continue;
       }
       double sx = fixed_sx[i];
       double sy = fixed_sy[i];
@@ -143,27 +138,22 @@ void global_place(PlacedDesign& d, const PlacementOptions& opt,
       }
       nx[i] = sx / weight[i];
       ny[i] = sy / weight[i];
-    });
+    }
     x.swap(nx);
     y.swap(ny);
     if (stats != nullptr) stats->runtime_proxy_ops += total_w;
 
-    // Periodic density spreading on a coarse bin grid. Bin membership is
-    // computed in parallel; binning and the RNG-driven diffusion stay in
-    // cell order on the calling thread so the random stream (and thus the
-    // result) is independent of the thread count.
+    // Periodic density spreading on a coarse bin grid.
     if ((iter + 1) % spread_every == 0) {
       constexpr int kBins = 8;
       const double bw = static_cast<double>(core.width()) / kBins;
       const double bh = static_cast<double>(core.height()) / kBins;
-      util::parallel_for(opt.threads, n, kSweepGrain, [&](std::size_t i) {
-        const int bx = std::clamp(static_cast<int>((x[i] - static_cast<double>(core.lx)) / bw), 0, kBins - 1);
-        const int by = std::clamp(static_cast<int>((y[i] - static_cast<double>(core.ly)) / bh), 0, kBins - 1);
-        bin_of[i] = static_cast<std::uint32_t>(by * kBins + bx);
-      });
       std::vector<std::vector<std::uint32_t>> bins(kBins * kBins);
       for (std::size_t i = 0; i < n; ++i) {
-        bins[bin_of[i]].push_back(static_cast<std::uint32_t>(i));
+        const int bx = std::clamp(static_cast<int>((x[i] - static_cast<double>(core.lx)) / bw), 0, kBins - 1);
+        const int by = std::clamp(static_cast<int>((y[i] - static_cast<double>(core.ly)) / bh), 0, kBins - 1);
+        bins[static_cast<std::size_t>(by * kBins + bx)].push_back(
+            static_cast<std::uint32_t>(i));
       }
       const double cap = static_cast<double>(n) / (kBins * kBins) * 2.0 + 1.0;
       for (auto& bin : bins) {

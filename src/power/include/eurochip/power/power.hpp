@@ -19,12 +19,6 @@ struct PowerOptions {
   std::uint64_t seed = 11;
   double default_activity = 0.15;  ///< fallback toggle rate if simulation off
   bool simulate_activity = true;
-  /// Parallelism for the activity simulation windows (0 = auto:
-  /// EUROCHIP_THREADS or hardware concurrency; 1 = serial). The cycle
-  /// budget always splits into the same fixed number of independently
-  /// seeded windows, so results are bit-identical at any thread count and
-  /// this knob is excluded from cache fingerprints.
-  int threads = 0;
 };
 
 struct PowerReport {

@@ -4,17 +4,14 @@
 
 #include "eurochip/netlist/side_table.hpp"
 #include "eurochip/netlist/simulator.hpp"
-#include "eurochip/util/thread_pool.hpp"
 #include "eurochip/util/trace.hpp"
 
 namespace eurochip::power {
 
 namespace {
 
-/// The activity simulation always splits into this many independently
-/// seeded Monte-Carlo windows, regardless of thread count: windows (not
-/// threads) are the unit of work, so the toggle counts — summed in window
-/// order — are identical whether the windows run serially or in parallel.
+/// The activity simulation splits its cycle budget into this many
+/// independently seeded Monte-Carlo windows, each starting from reset.
 constexpr int kActivityWindows = 8;
 
 }  // namespace
@@ -30,43 +27,24 @@ util::Result<PowerReport> estimate(const netlist::Netlist& nl,
                                                   opt.default_activity);
   if (opt.simulate_activity && opt.activity_cycles > 0) {
     EUROCHIP_TRACE_SPAN("power.activity", "kernel");
-    // Validate the netlist once up front so window failures can't differ.
-    if (auto probe = netlist::Simulator::create(nl); !probe.ok()) {
-      return probe.status();
-    }
-    // Window seeds come from one serial draw on the base generator.
+    auto sim = netlist::Simulator::create(nl);
+    if (!sim.ok()) return sim.status();
+    // Window seeds come from one draw each on the base generator. The
+    // simulator's toggle counts accumulate across windows.
     util::Rng base(opt.seed);
-    struct Window {
-      std::uint64_t seed = 0;
-      int cycles = 0;
-      std::vector<std::uint64_t> toggles;
-    };
-    std::vector<Window> windows(kActivityWindows);
+    std::vector<bool> in(sim->num_inputs());
     for (int w = 0; w < kActivityWindows; ++w) {
-      windows[w].seed = base.next();
-      windows[w].cycles = opt.activity_cycles / kActivityWindows +
-                          (w < opt.activity_cycles % kActivityWindows ? 1 : 0);
-    }
-    util::parallel_for(
-        opt.threads, windows.size(), /*grain=*/1, [&](std::size_t w) {
-          Window& win = windows[w];
-          if (win.cycles == 0) return;
-          auto sim = netlist::Simulator::create(nl);
-          util::Rng rng(win.seed);
-          sim->reset();
-          std::vector<bool> in(sim->num_inputs());
-          for (int c = 0; c < win.cycles; ++c) {
-            for (std::size_t i = 0; i < in.size(); ++i) in[i] = rng.chance(0.5);
-            (void)sim->step(in);
-          }
-          win.toggles = sim->toggle_counts();
-        });
-    std::vector<std::uint64_t> toggles(nl.num_nets(), 0);
-    for (const Window& win : windows) {
-      for (std::size_t i = 0; i < win.toggles.size(); ++i) {
-        toggles[i] += win.toggles[i];
+      util::Rng rng(base.next());
+      const int cycles = opt.activity_cycles / kActivityWindows +
+                         (w < opt.activity_cycles % kActivityWindows ? 1 : 0);
+      if (cycles == 0) continue;
+      sim->reset();
+      for (int c = 0; c < cycles; ++c) {
+        for (std::size_t i = 0; i < in.size(); ++i) in[i] = rng.chance(0.5);
+        (void)sim->step(in);
       }
     }
+    const std::vector<std::uint64_t>& toggles = sim->toggle_counts();
     for (std::size_t i = 0; i < toggles.size(); ++i) {
       activity[netlist::NetId{static_cast<std::uint32_t>(i)}] =
           static_cast<double>(toggles[i]) /

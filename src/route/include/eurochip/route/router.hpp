@@ -4,9 +4,8 @@
 // spanning topology; segments route with history-based congestion costs and
 // rip-up-and-reroute until overflow converges (PathFinder-style). Segments
 // are routed in fixed-size batches: within a batch every A* search reads a
-// frozen congestion snapshot (searches run in parallel on the shared
-// thread pool), and usage commits serially in segment order afterwards —
-// so the result is bit-identical at any thread count.
+// frozen congestion snapshot, and usage commits in segment order after the
+// batch.
 #pragma once
 
 #include <cstdint>
@@ -23,10 +22,6 @@ struct RouteOptions {
   int max_ripup_iterations = 8;
   double history_weight = 1.5;      ///< congestion-history cost growth
   bool congestion_aware = true;     ///< false = plain shortest path (ablation)
-  /// Parallelism for the per-batch A* searches (0 = auto: EUROCHIP_THREADS
-  /// or hardware concurrency; 1 = serial). Results are bit-identical at any
-  /// thread count, so this knob is excluded from cache fingerprints.
-  int threads = 0;
 };
 
 /// One corner of a routed segment, in gcell grid coordinates (multiply by

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "eurochip/util/thread_pool.hpp"
 #include "eurochip/util/trace.hpp"
 
 namespace eurochip::route {
@@ -127,7 +126,6 @@ struct Segment {
 /// zero-filling) O(grid) arrays per search, entries carry a generation
 /// stamp: a slot is valid only if its stamp matches the current
 /// generation, so "resetting" between searches is one counter increment.
-/// One scratch per parallel slot lets concurrent searches share nothing.
 struct AstarScratch {
   std::vector<double> dist;
   std::vector<std::int32_t> parent;
@@ -156,8 +154,6 @@ struct AstarScratch {
 };
 
 /// A* shortest path on the grid. Returns the gcell path (src..dst).
-/// Reads only the grid (const); all mutable state lives in `scratch`, so
-/// concurrent searches against the same grid snapshot are race-free.
 std::vector<GPoint> astar(const Grid& grid, GPoint src, GPoint dst,
                           bool congestion_aware, AstarScratch& scratch) {
   const int w = grid.width();
@@ -344,24 +340,18 @@ util::Result<RoutedDesign> route(const PlacedDesign& placed,
   }
 
   // Segments route in fixed batches of kBatch: every search in a batch
-  // reads the same frozen congestion snapshot (the grid is const during
-  // the parallel region), then usage commits serially in segment order.
-  // The batch size is independent of the thread count, so the routed
-  // result is bit-identical whether the batch runs on 1 thread or 8.
-  std::vector<AstarScratch> scratch(
-      static_cast<std::size_t>(util::max_slots(options.threads)));
+  // reads the congestion committed before the batch, then the batch's
+  // usage commits in segment order.
+  AstarScratch scratch;
   constexpr std::size_t kBatch = 64;
   const auto route_batch = [&](const std::vector<SegRef>& list,
                                std::size_t base, std::size_t end) {
-    util::parallel_for_slots(
-        options.threads, end - base, /*grain=*/1, [&](int slot, std::size_t k) {
-          const SegRef r = list[base + k];
-          Segment seg;
-          seg.path = astar(grid, work[r.w].pins[r.s].first,
-                           work[r.w].pins[r.s].second, options.congestion_aware,
-                           scratch[static_cast<std::size_t>(slot)]);
-          work[r.w].segments[r.s] = std::move(seg);
-        });
+    for (std::size_t k = base; k < end; ++k) {
+      const SegRef r = list[k];
+      work[r.w].segments[r.s].path =
+          astar(grid, work[r.w].pins[r.s].first, work[r.w].pins[r.s].second,
+                options.congestion_aware, scratch);
+    }
     for (std::size_t k = base; k < end; ++k) {
       const SegRef r = list[k];
       apply_usage(grid, work[r.w].segments[r.s], +1);
@@ -377,33 +367,29 @@ util::Result<RoutedDesign> route(const PlacedDesign& placed,
   }
   if (stats != nullptr) stats->segments_routed += refs.size();
 
-  // Rip-up and reroute while overflow persists: scan for segments crossing
-  // overflowed edges (read-only, parallel), rip them all up in order, then
-  // reroute them batch-by-batch against the updated congestion state.
+  // Rip-up and reroute while overflow persists: collect the segments
+  // crossing overflowed edges, rip them all up in order, then reroute them
+  // batch-by-batch against the updated congestion state.
   int iterations = 0;
-  std::vector<std::uint8_t> congested(refs.size());
   util::trace::Span ripup_span;
   if (util::trace::enabled()) ripup_span.begin("route.ripup", "kernel");
   for (; iterations < options.max_ripup_iterations; ++iterations) {
     if (grid.overflow_count() == 0) break;
     grid.bump_history(options.history_weight);
-    util::parallel_for(options.threads, refs.size(), /*grain=*/64,
-                       [&](std::size_t k) {
-                         const Segment& seg = work[refs[k].w].segments[refs[k].s];
-                         bool hit = false;
-                         for (std::size_t i = 0; i + 1 < seg.path.size() && !hit; ++i) {
-                           const GPoint a = seg.path[i];
-                           const GPoint b = seg.path[i + 1];
-                           const bool horiz = a.y == b.y;
-                           const int ex = horiz ? std::min(a.x, b.x) : a.x;
-                           const int ey = horiz ? a.y : std::min(a.y, b.y);
-                           hit = grid.usage(horiz, ex, ey) > grid.capacity();
-                         }
-                         congested[k] = hit ? 1 : 0;
-                       });
     std::vector<SegRef> redo;
-    for (std::size_t k = 0; k < refs.size(); ++k) {
-      if (congested[k] != 0) redo.push_back(refs[k]);
+    for (const SegRef& r : refs) {
+      const Segment& seg = work[r.w].segments[r.s];
+      for (std::size_t i = 0; i + 1 < seg.path.size(); ++i) {
+        const GPoint a = seg.path[i];
+        const GPoint b = seg.path[i + 1];
+        const bool horiz = a.y == b.y;
+        const int ex = horiz ? std::min(a.x, b.x) : a.x;
+        const int ey = horiz ? a.y : std::min(a.y, b.y);
+        if (grid.usage(horiz, ex, ey) > grid.capacity()) {
+          redo.push_back(r);
+          break;
+        }
+      }
     }
     if (redo.empty()) break;
     for (const SegRef& r : redo) {

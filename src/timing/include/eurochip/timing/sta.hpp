@@ -1,9 +1,7 @@
 // Graph-based static timing analysis.
 //
 // Arrival times and slews propagate through the combinational cone in
-// levelized topological order (cells on the same level are independent
-// and propagate in parallel) using the library's NLDM tables; wire delay
-// comes from
+// topological order using the library's NLDM tables; wire delay comes from
 // an Elmore model fed by routed net lengths (post-layout) or a fanout-based
 // wireload model (pre-layout). Endpoints are DFF D-pins (setup against the
 // clock period) and primary outputs.
@@ -32,11 +30,6 @@ struct StaOptions {
   /// this much and is the hazard hold paths must beat.
   double clock_skew_ps = 0.0;
   double hold_margin_ps = 0.0;
-  /// Parallelism for the levelized arrival propagation (0 = auto:
-  /// EUROCHIP_THREADS or hardware concurrency; 1 = serial). Results are
-  /// bit-identical at any thread count, so this knob is excluded from
-  /// cache fingerprints.
-  int threads = 0;
 };
 
 /// Timing of one endpoint (DFF D-pin or primary output).

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "eurochip/netlist/side_table.hpp"
-#include "eurochip/util/thread_pool.hpp"
 #include "eurochip/util/trace.hpp"
 
 namespace eurochip::timing {
@@ -134,66 +132,45 @@ util::Result<TimingReport> analyze(const Netlist& nl,
     setup_ps = std::max(setup_ps, 0.25 * lc.delay_ps.lookup(20.0, 10.0));
   }
 
-  // Propagate through combinational cells, levelized: a cell's level is
-  // 1 + the max level of its fanin nets (sources sit at level 0), so cells
-  // on the same level never feed each other. Each level propagates in
-  // parallel — every cell writes only its own output net's timing — and
-  // the per-cell arithmetic is unchanged from the serial order, so
-  // arrivals are bit-identical at any thread count.
-  netlist::IdMap<NetId, std::uint32_t> net_level(nl.num_nets(), 0);
-  std::vector<std::vector<CellId>> by_level;
-  for (CellId id : order.value()) {
-    const auto& cell = nl.cell(id);
-    if (nl.lib_cell(id).is_sequential()) continue;
-    std::uint32_t lvl = 0;
-    for (NetId f : cell.fanin) {
-      lvl = std::max(lvl, net_level[f] + 1);
-    }
-    net_level[cell.output] = lvl;
-    if (by_level.size() <= lvl) by_level.resize(lvl + 1);
-    by_level[lvl].push_back(id);
-  }
-  const auto propagate_cell = [&](CellId id) {
-    const auto& cell = nl.cell(id);
-    const auto& lc = nl.lib_cell(id);
-    double in_arrival = 0.0;
-    double in_arrival_min = std::numeric_limits<double>::infinity();
-    bool min_from_register = false;
-    double in_slew = opt.input_slew_ps;
-    NetId pred;
-    for (NetId f : cell.fanin) {
-      if (nt[f.value].arrival_ps >= in_arrival) {
-        in_arrival = nt[f.value].arrival_ps;
-        pred = f;
-      }
-      if (nt[f.value].arrival_min_ps < in_arrival_min) {
-        in_arrival_min = nt[f.value].arrival_min_ps;
-        min_from_register = nt[f.value].from_register;
-      }
-      in_slew = std::max(in_slew, nt[f.value].slew_ps);
-    }
-    if (cell.fanin.empty()) in_arrival_min = 0.0;
-    const NetId out = cell.output;
-    const WireRc rc = wire_rc(nl, out, rc_model, opt, routing);
-    const double load = net_load_ff(nl, out, opt, rc.cap_ff);
-    const double gate_delay =
-        lc.delay_ps.empty() ? 0.0 : lc.delay_ps.lookup(in_slew, load);
-    const double wire_delay = rc.res_kohm * (rc.cap_ff / 2.0 + (load - rc.cap_ff));
-    nt[out.value].arrival_ps = in_arrival + gate_delay + wire_delay;
-    nt[out.value].arrival_min_ps = in_arrival_min + gate_delay + wire_delay;
-    nt[out.value].from_register = min_from_register;
-    nt[out.value].slew_ps =
-        lc.output_slew_ps.empty() ? in_slew
-                                  : lc.output_slew_ps.lookup(in_slew, load);
-    nt[out.value].pred = pred;
-    nt[out.value].via_cell = id;
-    nt[out.value].driven = true;
-  };
+  // Propagate through combinational cells in topological order.
   {
     EUROCHIP_TRACE_SPAN("sta.arrival", "kernel");
-    for (const auto& level_cells : by_level) {
-      util::parallel_for(opt.threads, level_cells.size(), /*grain=*/16,
-                         [&](std::size_t i) { propagate_cell(level_cells[i]); });
+    for (CellId id : order.value()) {
+      const auto& lc = nl.lib_cell(id);
+      if (lc.is_sequential()) continue;
+      const auto& cell = nl.cell(id);
+      double in_arrival = 0.0;
+      double in_arrival_min = std::numeric_limits<double>::infinity();
+      bool min_from_register = false;
+      double in_slew = opt.input_slew_ps;
+      NetId pred;
+      for (NetId f : cell.fanin) {
+        if (nt[f.value].arrival_ps >= in_arrival) {
+          in_arrival = nt[f.value].arrival_ps;
+          pred = f;
+        }
+        if (nt[f.value].arrival_min_ps < in_arrival_min) {
+          in_arrival_min = nt[f.value].arrival_min_ps;
+          min_from_register = nt[f.value].from_register;
+        }
+        in_slew = std::max(in_slew, nt[f.value].slew_ps);
+      }
+      if (cell.fanin.empty()) in_arrival_min = 0.0;
+      const NetId out = cell.output;
+      const WireRc rc = wire_rc(nl, out, rc_model, opt, routing);
+      const double load = net_load_ff(nl, out, opt, rc.cap_ff);
+      const double gate_delay =
+          lc.delay_ps.empty() ? 0.0 : lc.delay_ps.lookup(in_slew, load);
+      const double wire_delay = rc.res_kohm * (rc.cap_ff / 2.0 + (load - rc.cap_ff));
+      nt[out.value].arrival_ps = in_arrival + gate_delay + wire_delay;
+      nt[out.value].arrival_min_ps = in_arrival_min + gate_delay + wire_delay;
+      nt[out.value].from_register = min_from_register;
+      nt[out.value].slew_ps =
+          lc.output_slew_ps.empty() ? in_slew
+                                    : lc.output_slew_ps.lookup(in_slew, load);
+      nt[out.value].pred = pred;
+      nt[out.value].via_cell = id;
+      nt[out.value].driven = true;
     }
   }
 

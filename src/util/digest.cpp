@@ -26,7 +26,7 @@ std::string Digest::hex() const {
   std::string out(32, '0');
   for (int i = 0; i < 16; ++i) {
     const std::uint64_t word = i < 8 ? hi : lo;
-    const int shift = 60 - 8 * (i % 8);
+    const int shift = 56 - 8 * (i % 8);
     out[static_cast<std::size_t>(2 * i)] = kHex[(word >> (shift + 4)) & 0xF];
     out[static_cast<std::size_t>(2 * i + 1)] = kHex[(word >> shift) & 0xF];
   }

@@ -14,10 +14,10 @@
 // each thread tracks its current innermost span, a newly begun span adopts
 // it as parent, and destruction restores it — so spans must be closed in
 // LIFO order per thread (RAII guarantees this). Work that hops threads —
-// a hub worker running a job, a ThreadPool helper joining a parallel loop —
-// carries its lineage explicitly: capture current_context() on the
-// publishing thread and open a ContextScope around the work on the
-// executing thread; spans begun inside adopt the captured parent and track.
+// a hub worker running a job — carries its lineage explicitly: capture
+// current_context() on the publishing thread and open a ContextScope
+// around the work on the executing thread; spans begun inside adopt the
+// captured parent and track.
 // The `track` is a logical grouping id (the hub uses the JobId) that
 // survives any number of handoffs.
 //
@@ -158,7 +158,7 @@ class Span {
 /// Thread-level instant event, parented to the current innermost span.
 void instant(std::string name, std::string cat, std::string detail = "");
 
-/// Names this thread for exports ("hub-worker-3", "pool-helper-1"). Safe
+/// Names this thread for exports (e.g. "hub-worker-3"). Safe
 /// to call whether or not tracing is enabled; the name is applied when the
 /// thread first emits an event.
 void set_thread_name(std::string name);

@@ -4,8 +4,7 @@
 //
 // The acceptance design is mul16 (rtl::designs::multiplier(16)): every RTL
 // port and named signal — a, b, p_q, p — must round-trip through where_is()
-// to a mapped net, a placed location, and a routed net, at 1 and 8 flow
-// threads, with artifacts bit-identical across thread counts.
+// to a mapped net, a placed location, and a routed net.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,19 +28,18 @@
 namespace eurochip {
 namespace {
 
-// mul16 is the largest stock design that routes at commercial defaults
-// (bench_flow_scaling uses the same pairing); the open preset congests.
-flow::FlowConfig mul_config(int threads) {
+// mul16 is the largest stock design that routes at commercial defaults;
+// the open preset congests.
+flow::FlowConfig mul_config() {
   flow::FlowConfig cfg;
   cfg.node = pdk::standard_node("commercial28").value();
   cfg.quality = flow::FlowQuality::kCommercial;
   cfg.seed = 16;
-  cfg.threads = threads;
   return cfg;
 }
 
-// One mul16 reference-flow run (threads = 1), shared by every test that
-// only inspects the result.
+// One mul16 reference-flow run, shared by every test that only inspects
+// the result.
 struct Baked {
   std::unique_ptr<rtl::Module> design;
   flow::FlowContext ctx;
@@ -52,7 +50,7 @@ const Baked& baked() {
     auto* out = new Baked;
     out->design =
         std::make_unique<rtl::Module>(rtl::designs::multiplier(16));
-    const auto cfg = mul_config(1);
+    const auto cfg = mul_config();
     auto res = flow::run_reference_flow(*out->design, cfg);
     if (!res.ok()) {
       ADD_FAILURE() << "reference flow failed: " << res.status().to_string();
@@ -167,40 +165,6 @@ void expect_where_is_round_trips(const flow::FlowContext& ctx) {
 
 TEST(DbgWhereIsTest, RoundTripsEveryNamedSignalOfMul16) {
   expect_where_is_round_trips(baked().ctx);
-}
-
-TEST(DbgWhereIsTest, EightThreadRunIsBitIdenticalAndAnswersTheSame) {
-  const auto& b = baked();
-  auto res = flow::run_reference_flow(*b.design, mul_config(8));
-  ASSERT_TRUE(res.ok()) << res.status().to_string();
-
-  // Artifacts are bit-identical at any thread count — the symbol overlay
-  // must not break that.
-  ASSERT_NE(res->artifacts.mapped, nullptr);
-  EXPECT_TRUE(flow::digest_of(*res->artifacts.mapped) ==
-              flow::digest_of(*b.ctx.artifacts.mapped));
-  EXPECT_TRUE(flow::digest_of(*res->artifacts.placed) ==
-              flow::digest_of(*b.ctx.artifacts.placed));
-  EXPECT_TRUE(flow::digest_of(*res->artifacts.routed) ==
-              flow::digest_of(*b.ctx.artifacts.routed));
-
-  flow::FlowContext ctx;
-  ctx.config = mul_config(8);
-  ctx.artifacts = std::move(res->artifacts);
-  ctx.artifacts.design = b.design.get();
-  expect_where_is_round_trips(ctx);
-
-  // Spot-check that the answers agree bit for bit across thread counts.
-  const auto one = dbg::answer(dbg::Query::where_is("p_q"), b.ctx);
-  const auto eight = dbg::answer(dbg::Query::where_is("p_q"), ctx);
-  ASSERT_EQ(one.where_is.bits.size(), eight.where_is.bits.size());
-  for (std::size_t i = 0; i < one.where_is.bits.size(); ++i) {
-    EXPECT_EQ(one.where_is.bits[i].x, eight.where_is.bits[i].x) << i;
-    EXPECT_EQ(one.where_is.bits[i].y, eight.where_is.bits[i].y) << i;
-    EXPECT_EQ(one.where_is.bits[i].wirelength_dbu,
-              eight.where_is.bits[i].wirelength_dbu)
-        << i;
-  }
 }
 
 // --- why_slack -------------------------------------------------------------
@@ -330,7 +294,7 @@ TEST(DbgSerializeTest, SnapshotV3CarriesSymbolsAndStaysDigestStable) {
 TEST(DbgCacheTest, AnswersFromTheDeepestCachedSnapshot) {
   const auto design = rtl::designs::multiplier(8);
   flow::FlowCache cache(flow::FlowCache::Options{.max_bytes = 256u << 20});
-  auto cfg = mul_config(1);
+  auto cfg = mul_config();
   cfg.seed = 8;
 
   // Nothing resident yet: NotFound, not a crash.

@@ -32,7 +32,6 @@ flow::FlowConfig open_config(std::uint64_t seed) {
   cfg.node = pdk::standard_node("sky130ish").value();
   cfg.quality = flow::FlowQuality::kOpen;
   cfg.seed = seed;
-  cfg.threads = 1;
   return cfg;
 }
 

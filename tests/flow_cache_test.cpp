@@ -36,6 +36,11 @@ TEST(DigestTest, HasherIsDeterministic) {
   EXPECT_EQ(a.finalize().hex(), b.finalize().hex());
 }
 
+TEST(DigestTest, HexRendersEveryNibbleMostSignificantFirst) {
+  const util::Digest d{0x0123456789abcdefULL, 0xfedcba9876543210ULL};
+  EXPECT_EQ(d.hex(), "0123456789abcdeffedcba9876543210");
+}
+
 TEST(DigestTest, DifferentInputsDiffer) {
   util::Hasher a, b, c;
   a.str("hello");

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "eurochip/flow/fingerprint.hpp"
 #include "eurochip/flow/flow.hpp"
 #include "eurochip/netlist/simulator.hpp"
 #include "eurochip/pdk/registry.hpp"
@@ -213,6 +220,145 @@ TEST(FlowTest, KnobsDifferBetweenPresets) {
             comm_knobs.route_options.max_ripup_iterations);
   EXPECT_FALSE(open_knobs.map_options.size_for_load);
   EXPECT_TRUE(comm_knobs.map_options.size_for_load);
+}
+
+// --- golden artifacts ------------------------------------------------------
+
+/// The hub's artifact_digest recipe (mapped/placed/routed digests plus the
+/// GDS bytes) extended with the PPA power/fmax/area bit patterns, so a
+/// change to the power simulation shows up even though it never touches
+/// the routed netlist.
+util::Digest artifact_and_ppa_digest(const FlowResult& r) {
+  util::Hasher h;
+  h.str("eurochip.artifact.v1");
+  const FlowArtifacts& a = r.artifacts;
+  if (a.mapped) h.digest(digest_of(*a.mapped));
+  if (a.placed) h.digest(digest_of(*a.placed));
+  if (a.routed) h.digest(digest_of(*a.routed));
+  h.bytes(a.gds_bytes.data(), a.gds_bytes.size());
+  h.f64(r.ppa.power_uw).f64(r.ppa.fmax_mhz).f64(r.ppa.area_um2);
+  return h.finalize();
+}
+
+struct GoldenDigest {
+  const char* design;
+  const char* preset;
+  std::uint64_t hi;
+  std::uint64_t lo;
+};
+
+// One digest per scale-1 catalog config at the default seed. Any kernel
+// change that moves a single artifact bit or PPA figure fails here; edit
+// this table only in a change that means to alter artifacts.
+constexpr GoldenDigest kScale1Golden[] = {
+    {"counter", "open", 0x2e7f3dd28e300babULL, 0xcdb82f675fa01b72ULL},
+    {"adder", "open", 0x332f0d25b9a5c379ULL, 0x4d4efcd8f05ba32eULL},
+    {"alu", "open", 0x6e5e52f6dc568019ULL, 0x44e1583c1c0f3981ULL},
+    {"gray", "open", 0x96715e0242c76248ULL, 0xabc7f6803d1c1461ULL},
+    {"fir", "open", 0xf7ad6f2e3cebf0aaULL, 0x8365347804571e27ULL},
+    {"lfsr", "open", 0x0361347ec8fcd1a6ULL, 0xf13178e754935f8aULL},
+    {"popcount", "open", 0x534e06b4f4be66a7ULL, 0xbf1d8f8271abd813ULL},
+    {"fsm", "open", 0xc7e36f84d68c5629ULL, 0xc26f204771685422ULL},
+    {"multiplier", "open", 0xafb36c69bf54cdecULL, 0x85f74aacd2a6c0f9ULL},
+    {"mini_cpu", "open", 0xf7a4c392aebb000dULL, 0x1958932ce230e169ULL},
+    {"shiftreg", "open", 0x7aabbc07715a343aULL, 0xd923311890dc5a74ULL},
+    {"prienc", "open", 0x4cdbbecc7f406b15ULL, 0x68be13dcb266aa4bULL},
+    {"crc8", "open", 0x12fa866126d68aa3ULL, 0x33188251491bc2a9ULL},
+    {"barrel", "open", 0x7508ac3ccae32580ULL, 0x581d47699809ab99ULL},
+    {"sorter4", "open", 0x2f7a5ab7ddbf373aULL, 0x167c152808b9eeb5ULL},
+    {"serializer", "open", 0xb9a21d095ec166e5ULL, 0xccdfcf27a7d2a9cfULL},
+    {"counter", "commercial", 0x7bf889b9eb59f6ecULL, 0x61e98a6766359c07ULL},
+    {"adder", "commercial", 0xbc7536da15b57533ULL, 0x9a2793d5505f9ac7ULL},
+    {"alu", "commercial", 0x021949690bcbfd62ULL, 0xba9936271c19ca3dULL},
+    {"gray", "commercial", 0x521bb8f40544a8abULL, 0x0dc688d9eb84b1b5ULL},
+    {"fir", "commercial", 0xe26deca76a6e9064ULL, 0xc162319df1aed843ULL},
+    {"lfsr", "commercial", 0xcca75652706dd890ULL, 0xa0a72f8ac45cc9d9ULL},
+    {"popcount", "commercial", 0x62ca0c71ee4ee5a7ULL, 0xcfe9a2193e97859fULL},
+    {"fsm", "commercial", 0x173724d35ee40482ULL, 0xe1555d94852a0a16ULL},
+    {"multiplier", "commercial", 0xe873c367f5085852ULL, 0x7f00a3d389940a44ULL},
+    {"mini_cpu", "commercial", 0xc174791d49de743fULL, 0x6d124504c16e6a6fULL},
+    {"shiftreg", "commercial", 0xfab23496db5fbee2ULL, 0x4df6577686a433a9ULL},
+    {"prienc", "commercial", 0x33b5bcc965aa82c3ULL, 0x70c63905193d1a3bULL},
+    {"crc8", "commercial", 0xd2bbe6cf1f6284c4ULL, 0x0a68423b44020369ULL},
+    {"barrel", "commercial", 0x59c0ee7eeb1fd0a7ULL, 0x0b5e4189555ed714ULL},
+    {"sorter4", "commercial", 0xb8f6ae1a783d8d59ULL, 0xb9d0a44f2fa86822ULL},
+    {"serializer", "commercial", 0xfafe48ba3bff1ab5ULL, 0x5d71e2337f7dbd89ULL},
+};
+
+TEST(FlowGoldenTest, Scale1CatalogMatchesPinnedDigests) {
+  struct Preset {
+    const char* name;
+    FlowQuality quality;
+    const char* node;
+  };
+  constexpr Preset kPresets[] = {
+      {"open", FlowQuality::kOpen, "sky130ish"},
+      {"commercial", FlowQuality::kCommercial, "commercial28"},
+  };
+  std::size_t checked = 0;
+  for (const Preset& preset : kPresets) {
+    FlowConfig cfg = open_config(preset.node);
+    cfg.quality = preset.quality;
+    for (const auto& entry : rtl::designs::standard_catalog(1)) {
+      const std::string label = std::string(preset.name) + "/" + entry.name;
+      const GoldenDigest* want = nullptr;
+      for (const GoldenDigest& g : kScale1Golden) {
+        if (entry.name == g.design && std::string(preset.name) == g.preset) {
+          want = &g;
+        }
+      }
+      ASSERT_NE(want, nullptr) << "no golden digest for " << label;
+      const auto result = run_reference_flow(entry.module, cfg);
+      ASSERT_TRUE(result.ok()) << label << ": " << result.status().to_string();
+      const util::Digest got = artifact_and_ppa_digest(*result);
+      const util::Digest pinned{want->hi, want->lo};
+      EXPECT_EQ(got, pinned) << label << ": got " << got.hex() << ", pinned "
+                             << pinned.hex();
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, std::size(kScale1Golden));
+}
+
+// --- concurrent flows ------------------------------------------------------
+
+// Concurrency lives across jobs: hub workers run whole flows side by side,
+// each on its own thread. Flows running at once must neither race (this
+// test runs under TSan and ASan+UBSan) nor drift from a lone run.
+TEST(FlowConcurrencyTest, ConcurrentRunsMatchSerialArtifacts) {
+  struct Snapshot {
+    util::Digest artifacts;
+    double wns_ps = 0.0;
+    double average_activity = 0.0;
+    std::size_t drc_violations = 0;
+  };
+  const auto m = rtl::designs::alu(8);
+  const auto run = [&m] {
+    const auto r = run_reference_flow(m, open_config());
+    EXPECT_TRUE(r.ok()) << r.status().to_string();
+    Snapshot s;
+    if (!r.ok()) return s;
+    s.artifacts = artifact_and_ppa_digest(*r);
+    s.wns_ps = r->artifacts.timing.wns_ps;
+    s.average_activity = r->artifacts.power.average_activity;
+    s.drc_violations = r->ppa.drc_violations;
+    return s;
+  };
+  const Snapshot expected = run();
+  constexpr int kRuns = 4;
+  std::vector<Snapshot> got(kRuns);
+  std::vector<std::thread> threads;
+  threads.reserve(kRuns);
+  for (int i = 0; i < kRuns; ++i) {
+    threads.emplace_back([&, i] { got[i] = run(); });
+  }
+  for (auto& t : threads) t.join();
+  for (const Snapshot& s : got) {
+    EXPECT_EQ(s.artifacts, expected.artifacts);
+    EXPECT_EQ(s.wns_ps, expected.wns_ps);
+    EXPECT_EQ(s.average_activity, expected.average_activity);
+    EXPECT_EQ(s.drc_violations, expected.drc_violations);
+  }
 }
 
 }  // namespace

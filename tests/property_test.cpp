@@ -7,6 +7,9 @@
 // emission stays parseable.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "eurochip/drc/checker.hpp"
 #include "eurochip/flow/flow.hpp"
 #include "eurochip/gds/gds.hpp"
@@ -239,8 +242,10 @@ struct PhysicalCase {
   const char* node_name;
 };
 
+// Node names are std::string, not const char*: gtest prints a char pointer
+// param as its address, which would put a per-process value in test names.
 class PhysicalPropertyTest
-    : public ::testing::TestWithParam<std::tuple<int, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<int, std::string>> {};
 
 TEST_P(PhysicalPropertyTest, LegalCleanAndRoutable) {
   const auto [design_index, node_name] = GetParam();
@@ -277,7 +282,7 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 
 class FlowSweepTest
-    : public ::testing::TestWithParam<std::tuple<int, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<int, std::string>> {};
 
 TEST_P(FlowSweepTest, FlowInvariantsHoldEverywhere) {
   const auto [preset, node_name] = GetParam();

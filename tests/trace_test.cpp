@@ -1,8 +1,7 @@
 // Tests for eurochip::util::trace — span nesting, cross-thread context
 // handoff, disabled-mode no-ops, concurrent emitters, Chrome export — and
-// for the flow instrumentation built on it (FlowSpanTest: every executed
-// step emits exactly one span, with identical structure at any thread
-// count).
+// for the flow instrumentation built on it (every executed step emits
+// exactly one span, and kernel spans nest under their step).
 //
 // The tracer is process-global; every test runs against a clean session
 // (fixture stops and clears around each body). CI runs this binary under
@@ -18,7 +17,6 @@
 #include "eurochip/flow/flow.hpp"
 #include "eurochip/pdk/registry.hpp"
 #include "eurochip/rtl/designs.hpp"
-#include "eurochip/util/thread_pool.hpp"
 #include "eurochip/util/trace.hpp"
 
 namespace eurochip::util::trace {
@@ -262,11 +260,10 @@ TEST_F(TraceTest, ClearDropsEventsButKeepsThreadIdentity) {
 
 // --- flow instrumentation -------------------------------------------------
 
-flow::FlowConfig span_test_config(int threads) {
+flow::FlowConfig span_test_config() {
   flow::FlowConfig cfg;
   cfg.node = pdk::standard_node("sky130ish").value();
   cfg.quality = flow::FlowQuality::kOpen;
-  cfg.threads = threads;
   return cfg;
 }
 
@@ -275,11 +272,10 @@ struct FlowSpanSummary {
   std::vector<Event> step_spans;  ///< in start order
 };
 
-FlowSpanSummary traced_flow(const rtl::Module& design, int threads) {
+FlowSpanSummary traced_flow(const rtl::Module& design) {
   clear();
   start();
-  const auto result =
-      flow::run_reference_flow(design, span_test_config(threads));
+  const auto result = flow::run_reference_flow(design, span_test_config());
   stop();
   EXPECT_TRUE(result.ok()) << result.status().to_string();
   FlowSpanSummary summary;
@@ -292,7 +288,7 @@ FlowSpanSummary traced_flow(const rtl::Module& design, int threads) {
 
 TEST_F(TraceTest, FlowSpanEveryStepExactlyOnce) {
   const auto design = rtl::designs::counter(8);
-  const auto summary = traced_flow(design, /*threads=*/1);
+  const auto summary = traced_flow(design);
   EXPECT_EQ(summary.flow_span.name, "flow:" + design.name());
   ASSERT_EQ(summary.step_spans.size(), 12u);
   std::set<std::string> names;
@@ -305,33 +301,19 @@ TEST_F(TraceTest, FlowSpanEveryStepExactlyOnce) {
   }
 }
 
-TEST_F(TraceTest, FlowSpanStructureIdenticalAcrossThreadCounts) {
+TEST_F(TraceTest, FlowKernelSpansNestUnderTheirStep) {
   const auto design = rtl::designs::counter(8);
-  const auto serial = traced_flow(design, /*threads=*/1);
-  const auto parallel = traced_flow(design, /*threads=*/8);
-  ASSERT_EQ(serial.step_spans.size(), parallel.step_spans.size());
-  for (std::size_t i = 0; i < serial.step_spans.size(); ++i) {
-    EXPECT_EQ(serial.step_spans[i].name, parallel.step_spans[i].name)
-        << "step order diverged at index " << i;
+  const auto summary = traced_flow(design);
+  std::set<SpanId> step_ids;
+  for (const Event& ev : summary.step_spans) step_ids.insert(ev.id);
+  std::size_t kernel_spans = 0;
+  for (const Event& ev : snapshot()) {
+    if (ev.cat != "kernel") continue;
+    ++kernel_spans;
+    EXPECT_EQ(step_ids.count(ev.parent), 1u)
+        << ev.name << " is not parented to a flow step";
   }
-  // Kernel and pool spans the steps spawn keep the step as ancestor; at
-  // 8 threads the pool batches run on helper threads but still attach.
-  clear();
-  start();
-  const auto result = flow::run_reference_flow(design, span_test_config(8));
-  stop();
-  ASSERT_TRUE(result.ok());
-  const auto events = snapshot();
-  std::set<SpanId> known_ids;
-  for (const Event& ev : events) {
-    if (ev.kind == Event::Kind::kSpan) known_ids.insert(ev.id);
-  }
-  for (const Event& ev : events) {
-    if (ev.cat == "pool" || ev.cat == "kernel") {
-      EXPECT_TRUE(ev.parent != 0 && known_ids.count(ev.parent) == 1)
-          << ev.name << " is unparented";
-    }
-  }
+  EXPECT_GT(kernel_spans, 0u);
 }
 
 }  // namespace
