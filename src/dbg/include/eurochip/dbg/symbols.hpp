@@ -11,10 +11,10 @@
 //
 // Representation follows the SoA netlist: one append-only interned-name
 // arena (netlist::NameRef offsets into it) plus flat vectors indexed by
-// CellId/NetId/port index. The table is plain data — copyable for FlowCache
-// deep copies, serializable as wire-format v3 (flow/serialize.cpp), and
-// deliberately free of pointers into the netlist so a snapshot restore
-// cannot dangle.
+// CellId/NetId/port index. The table is plain data — shared immutably by
+// FlowCache snapshots (map/dft/sta extend a copy), serializable as a wire
+// artifact blob (flow/serialize.cpp), and deliberately free of pointers into
+// the netlist so a snapshot restore cannot dangle.
 //
 // Invariants (enforced by dbg_test):
 //   * building the table never changes flow artifacts — a run with symbols

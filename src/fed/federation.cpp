@@ -255,6 +255,9 @@ void FederatedService::settle_locked(JobRef& ref) {
   // resubmits a settled job); drop it to release the captured design.
   ref.spec.work = nullptr;
   ++stats_.completed;
+  // Waiters holding the hub's terminal record block until the settlement
+  // is visible (see wait_for).
+  cv_moved_.notify_all();
 }
 
 void FederatedService::merge_fed_story_locked(hub::JobRecord& out,
@@ -343,21 +346,22 @@ util::Result<hub::JobRecord> FederatedService::wait_for(FedJobId id,
         return out;
       }
       if (ref.generation == generation &&
-          record->state != hub::JobState::kMigrated &&
-          (ref.settled ||
-           (!crashed_[home] && fenced_.count({home, local}) == 0))) {
+          record->state != hub::JobState::kMigrated && ref.settled) {
         hub::JobRecord out = std::move(*record);
         out.queue_wait_ms += ref.prior_wait_ms;
         merge_fed_story_locked(out, ref);
         return out;
       }
-      // Re-homed (or about to be) out from under the wait: fall through
-      // and block until the mapping changes, then follow it.
+      // The hub notifies its waiters before its terminal callback settles
+      // the job here, and a re-homed job never settles under this mapping:
+      // block until it is settled or moved, then serve it from the book or
+      // follow it, so a caller never sees a record the federation has not
+      // counted.
       if (ref.generation != generation) continue;
       const auto moved = [&] {
         const auto jit = jobs_.find(id);
         return jit == jobs_.end() || jit->second.generation != generation ||
-               jit->second.orphan != nullptr;
+               jit->second.orphan != nullptr || jit->second.settled;
       };
       if (timeout_ms < 0.0) {
         cv_moved_.wait(lock, moved);
@@ -680,7 +684,6 @@ bool FederatedService::place_stolen(std::size_t donor, std::size_t target,
     ++ref.generation;
     ++stats_.orphaned;
     settle_locked(ref);
-    cv_moved_.notify_all();
     return false;
   }
   ref.hub = home;

@@ -1,11 +1,14 @@
 // RemoteCache: the federation's shared second-level snapshot store.
 //
-// Implements flow::CacheTier over an in-process LRU of serialized snapshot
-// blobs (flow::serialize_snapshot bytes), standing in for the remote
-// artifact service a multi-site federation would deploy. Because it stores
-// *bytes*, every fetch pays the full serialize/deserialize round trip the
-// real network path would — a hub can never accidentally alias another
-// hub's in-memory artifacts through it.
+// Implements flow::CacheTier over an in-process LRU of byte blobs — per-step
+// manifests and content-addressed artifact blobs (flow/serialize.hpp, wire
+// v4) — standing in for the remote artifact service a multi-site
+// federation would deploy. An artifact shared by many snapshots is stored
+// once, so a hub publishes only the artifacts it computed. Because the tier
+// stores *bytes*, every fetch pays the serialize/deserialize round trip the
+// real network path would, and a hub never aliases another hub's in-memory
+// artifacts through it: a FlowCache reuses only artifacts resident in its
+// own L1.
 //
 // Network-cost model: each fetch/publish is charged
 //     cost_ms = latency_ms + bytes / (1000 * bandwidth_mb_per_s)

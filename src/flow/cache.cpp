@@ -1,6 +1,5 @@
 #include "eurochip/flow/cache.hpp"
 
-#include "eurochip/flow/serialize.hpp"
 #include "eurochip/util/fault.hpp"
 #include "eurochip/util/trace.hpp"
 
@@ -10,12 +9,10 @@ namespace {
 
 // --- resident-size estimation -------------------------------------------
 //
-// The byte budget is enforced against an estimate of the snapshot's heap
+// The byte budget is enforced against an estimate of each artifact's heap
 // footprint: container element counts times element sizes plus string
 // payloads. It undercounts allocator slack and overcounts nothing large;
 // good enough to keep a shared cache bounded.
-
-std::size_t approx_bytes(const std::string& s) { return s.size(); }
 
 std::size_t approx_bytes(const netlist::CellLibrary& lib) {
   // NLDM tables are small fixed grids; 512 bytes/cell is a generous flat
@@ -59,13 +56,17 @@ std::size_t approx_bytes(const route::RoutedDesign& routed) {
   return total;
 }
 
+std::size_t approx_bytes(const dbg::SymbolTable& sym) {
+  return sym.memory_bytes();
+}
+
 std::size_t approx_bytes(const timing::TimingReport& t) {
   std::size_t total = sizeof(timing::TimingReport);
   for (const timing::Endpoint& e : t.endpoints) {
-    total += sizeof(timing::Endpoint) + approx_bytes(e.name);
+    total += sizeof(timing::Endpoint) + e.name.size();
   }
   for (const timing::PathStep& s : t.critical_path) {
-    total += sizeof(timing::PathStep) + approx_bytes(s.point);
+    total += sizeof(timing::PathStep) + s.point.size();
   }
   return total;
 }
@@ -73,7 +74,7 @@ std::size_t approx_bytes(const timing::TimingReport& t) {
 std::size_t approx_bytes(const drc::DrcReport& d) {
   std::size_t total = sizeof(drc::DrcReport);
   for (const drc::Violation& v : d.violations) {
-    total += sizeof(drc::Violation) + approx_bytes(v.detail);
+    total += sizeof(drc::Violation) + v.detail.size();
   }
   return total;
 }
@@ -81,70 +82,40 @@ std::size_t approx_bytes(const drc::DrcReport& d) {
 std::size_t approx_bytes(const std::vector<StepRecord>& steps) {
   std::size_t total = 0;
   for (const StepRecord& s : steps) {
-    total += sizeof(StepRecord) + approx_bytes(s.name) + approx_bytes(s.detail);
+    total += sizeof(StepRecord) + s.name.size() + s.detail.size();
   }
   return total;
+}
+
+/// The upstream object an artifact of `slot` points at (null if none).
+const void* upstream_object(std::size_t slot, const void* artifact) {
+  switch (slot) {
+    case kMappedSlot:
+      return &static_cast<const netlist::Netlist*>(artifact)->library();
+    case kPlacedSlot:
+      return static_cast<const place::PlacedDesign*>(artifact)->netlist;
+    case kRoutedSlot:
+      return static_cast<const route::RoutedDesign*>(artifact)->placed;
+    default: return nullptr;
+  }
 }
 
 }  // namespace
 
 // --- Snapshot ------------------------------------------------------------
 //
-// A deep copy of FlowArtifacts with internal cross-references re-pointed at
-// the copies: mapped -> library (Netlist::rebind_library), placed ->
-// mapped, routed -> placed. `design` is deliberately NOT captured — the
-// content digest in the key already guarantees the caller's design is
-// equivalent, and holding a borrowed pointer would dangle.
+// The state after one step: shared pointers to the immutable heap
+// artifacts plus copies of the value reports and step records. `design` is
+// deliberately NOT captured — the content digest in the key already
+// guarantees the caller's design is equivalent, and holding a borrowed
+// pointer would dangle.
 struct FlowCache::Snapshot {
-  std::unique_ptr<netlist::CellLibrary> library;
-  std::unique_ptr<synth::Aig> aig;
-  std::unique_ptr<netlist::Netlist> mapped;
-  std::unique_ptr<place::PlacedDesign> placed;
-  std::unique_ptr<cts::ClockTree> clock_tree;
-  std::unique_ptr<route::RoutedDesign> routed;
-  timing::TimingReport timing;
-  power::PowerReport power;
-  drc::DrcReport drc;
-  std::vector<std::uint8_t> gds_bytes;
-  std::unique_ptr<dbg::SymbolTable> symbols;
+  FlowArtifacts artifacts;
   std::vector<StepRecord> steps;
-  std::size_t bytes = 0;
+  std::array<std::size_t, kArtifactSlots> artifact_bytes{};
+  std::size_t value_bytes = 0;  ///< reports, GDS and step records
+  std::size_t bytes = 0;        ///< stored alone: value_bytes + artifacts
 };
-
-namespace {
-
-/// Deep-copies `src` artifacts into fresh heap objects with pointer fixups.
-/// Shared by snapshot (ctx -> snapshot) and restore (snapshot -> ctx).
-template <typename Src, typename Dst>
-void clone_artifacts(const Src& src, Dst& dst) {
-  dst.library = src.library
-                    ? std::make_unique<netlist::CellLibrary>(*src.library)
-                    : nullptr;
-  dst.aig = src.aig ? std::make_unique<synth::Aig>(*src.aig) : nullptr;
-  dst.mapped =
-      src.mapped ? std::make_unique<netlist::Netlist>(*src.mapped) : nullptr;
-  if (dst.mapped && dst.library) dst.mapped->rebind_library(dst.library.get());
-  dst.placed = src.placed
-                   ? std::make_unique<place::PlacedDesign>(*src.placed)
-                   : nullptr;
-  if (dst.placed && dst.mapped) dst.placed->netlist = dst.mapped.get();
-  dst.clock_tree = src.clock_tree
-                       ? std::make_unique<cts::ClockTree>(*src.clock_tree)
-                       : nullptr;
-  dst.routed = src.routed
-                   ? std::make_unique<route::RoutedDesign>(*src.routed)
-                   : nullptr;
-  if (dst.routed && dst.placed) dst.routed->placed = dst.placed.get();
-  dst.timing = src.timing;
-  dst.power = src.power;
-  dst.drc = src.drc;
-  dst.gds_bytes = src.gds_bytes;
-  dst.symbols = src.symbols
-                    ? std::make_unique<dbg::SymbolTable>(*src.symbols)
-                    : nullptr;
-}
-
-}  // namespace
 
 FlowCache::FlowCache() : FlowCache(Options{}) {}
 
@@ -152,27 +123,27 @@ FlowCache::FlowCache(Options options) : options_(options) {}
 
 FlowCache::~FlowCache() = default;
 
-std::shared_ptr<const FlowCache::Snapshot> FlowCache::snapshot_of(
-    const FlowContext& ctx) {
+std::shared_ptr<const FlowCache::Snapshot> FlowCache::make_snapshot(
+    FlowArtifacts artifacts, std::vector<StepRecord> steps) {
   auto snap = std::make_shared<Snapshot>();
-  clone_artifacts(ctx.artifacts, *snap);
-  snap->steps = ctx.steps;
-  std::size_t bytes = sizeof(Snapshot) + snap->gds_bytes.size() +
-                      approx_bytes(snap->steps) + approx_bytes(snap->timing) +
-                      approx_bytes(snap->drc);
-  if (snap->library) bytes += approx_bytes(*snap->library);
-  if (snap->aig) bytes += approx_bytes(*snap->aig);
-  if (snap->mapped) bytes += approx_bytes(*snap->mapped);
-  if (snap->placed) bytes += approx_bytes(*snap->placed);
-  if (snap->clock_tree) bytes += approx_bytes(*snap->clock_tree);
-  if (snap->routed) bytes += approx_bytes(*snap->routed);
-  if (snap->symbols) bytes += snap->symbols->memory_bytes();
-  snap->bytes = bytes;
+  snap->artifacts = std::move(artifacts);
+  snap->artifacts.design = nullptr;
+  snap->steps = std::move(steps);
+  const FlowArtifacts& a = snap->artifacts;
+  snap->value_bytes = sizeof(Snapshot) + a.gds_bytes.size() +
+                      approx_bytes(snap->steps) + approx_bytes(a.timing) +
+                      approx_bytes(a.drc);
+  snap->bytes = snap->value_bytes;
+  for_each_artifact(a, [&](std::size_t slot, const auto& p) {
+    if (p) snap->bytes += snap->artifact_bytes[slot] = approx_bytes(*p);
+  });
   return snap;
 }
 
 void FlowCache::restore(const Snapshot& snap, FlowContext& ctx) {
-  clone_artifacts(snap, ctx.artifacts);
+  const rtl::Module* design = ctx.artifacts.design;
+  ctx.artifacts = snap.artifacts;
+  ctx.artifacts.design = design;
   ctx.steps = snap.steps;
   for (StepRecord& rec : ctx.steps) rec.cached = true;
 }
@@ -195,66 +166,105 @@ bool FlowCache::lookup(const util::Digest& key, FlowContext& ctx) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = index_.find(key);
-    if (it == index_.end()) {
-      // Local miss: try the second-level tier (outside the lock, below)
-      // before deciding between remote_hits_ and misses_.
-      if (options_.second_level == nullptr) {
-        ++misses_;
-        if (span.active()) span.annotate("hit", false);
-        return false;
-      }
-    } else {
+    if (it != index_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
       snap = it->second.snapshot;
       ++hits_;
-    }
-  }
-  if (!snap) {
-    // Second-level probe. The tier hands back serialize_snapshot() bytes;
-    // anything that fails to decode (truncation, corruption, version skew)
-    // degrades to a miss — the tier is an optimization, never trusted.
-    std::vector<std::uint8_t> bytes;
-    if (!options_.second_level->fetch(key, &bytes)) {
-      std::lock_guard<std::mutex> lock(mu_);
+    } else if (options_.second_level == nullptr) {
       ++misses_;
       if (span.active()) span.annotate("hit", false);
       return false;
     }
-    FlowContext tmp;
-    if (!deserialize_snapshot(bytes, tmp).ok()) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++remote_errors_;
-      ++misses_;
-      if (span.active()) span.annotate("hit", std::string("remote-error"));
-      return false;
-    }
-    // Re-admit locally so the next lookup skips the network. admit_local
-    // does not publish back — the tier just served these bytes.
-    std::shared_ptr<const Snapshot> fetched = snapshot_of(tmp);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++remote_hits_;
-    }
-    if (span.active()) {
-      span.annotate("hit", std::string("remote"));
-      span.annotate("bytes", static_cast<std::uint64_t>(fetched->bytes));
-    }
-    const rtl::Module* design = ctx.artifacts.design;
-    ctx.artifacts = std::move(tmp.artifacts);
-    ctx.artifacts.design = design;
-    ctx.steps = std::move(tmp.steps);
-    for (StepRecord& rec : ctx.steps) rec.cached = true;
-    admit_local(key, std::move(fetched));
-    return true;
   }
+  // Local miss: try the second-level tier outside the lock.
+  const bool remote = snap == nullptr;
+  if (remote && (snap = fetch_remote(key, span)) == nullptr) return false;
   if (span.active()) {
-    span.annotate("hit", true);
+    if (remote) {
+      span.annotate("hit", std::string("remote"));
+    } else {
+      span.annotate("hit", true);
+    }
     span.annotate("bytes", static_cast<std::uint64_t>(snap->bytes));
   }
-  // Deep copy outside the lock; `snap` keeps the entry alive even if a
+  // Pointer copies outside the lock; `snap` keeps the entry alive even if a
   // concurrent store evicts it.
   restore(*snap, ctx);
   return true;
+}
+
+std::shared_ptr<const FlowCache::Snapshot> FlowCache::fetch_remote(
+    const util::Digest& key, util::trace::Span& span) {
+  CacheTier& tier = *options_.second_level;
+  std::vector<std::uint8_t> bytes;
+  if (!tier.fetch(key, &bytes)) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++misses_;
+    if (span.active()) span.annotate("hit", false);
+    return nullptr;
+  }
+  // The tier is an optimization, never trusted: a manifest or blob that is
+  // missing or fails to verify or decode degrades to a miss.
+  FlowContext tmp;
+  ArtifactAddresses addresses{};
+  util::Status status = deserialize_manifest(bytes, tmp, addresses);
+  // Reuse resident artifacts by address, dependents first, so that a
+  // reused chain (routed -> placed -> mapped -> library) stays one chain.
+  std::array<std::shared_ptr<const void>, kArtifactSlots> local;
+  if (status.ok()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (std::size_t slot = kArtifactSlots; slot-- > 0;) {
+      if (addresses[slot] == util::Digest{}) continue;
+      const void* want = nullptr;
+      for (std::size_t d = slot + 1; d < kArtifactSlots; ++d) {
+        if (upstream_slot(d) == slot && local[d]) {
+          want = upstream_object(d, local[d].get());
+        }
+      }
+      if (const auto a = by_address_.find(addresses[slot]);
+          want == nullptr && a != by_address_.end()) {
+        want = a->second;
+      }
+      const auto r = resident_.find(want);
+      if (r != resident_.end() && r->second.address == addresses[slot]) {
+        local[slot] = r->second.object;
+      }
+    }
+  }
+  // Fetch the rest, each verified against its address and wired to the
+  // upstream artifact already chosen. got[kArtifactSlots] stays null.
+  std::array<const void*, kArtifactSlots + 1> got{};
+  for_each_artifact(tmp.artifacts, [&](std::size_t slot, auto& p) {
+    if (!status.ok() || addresses[slot] == util::Digest{}) return;
+    using T = typename std::decay_t<decltype(p)>::element_type;
+    if (local[slot] && upstream_object(slot, local[slot].get()) ==
+                           got[upstream_slot(slot)]) {
+      p = std::static_pointer_cast<T>(local[slot]);
+    } else {
+      std::vector<std::uint8_t> blob;
+      status = tier.fetch(addresses[slot], &blob)
+                   ? read_artifact_blob(slot, blob, addresses, tmp.artifacts)
+                   : util::Status::NotFound("artifact blob missing");
+    }
+    got[slot] = p.get();
+  });
+  if (!status.ok()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++remote_errors_;
+    ++misses_;
+    if (span.active()) span.annotate("hit", std::string("remote-error"));
+    return nullptr;
+  }
+  std::shared_ptr<const Snapshot> snap =
+      make_snapshot(std::move(tmp.artifacts), std::move(tmp.steps));
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++remote_hits_;
+  }
+  // Re-admit locally so the next lookup skips the network. admit_local
+  // does not publish back — the tier just served these bytes.
+  admit_local(key, snap, &addresses);
+  return snap;
 }
 
 void FlowCache::store(const util::Digest& key, const FlowContext& ctx) {
@@ -277,30 +287,62 @@ void FlowCache::store(const util::Digest& key, const FlowContext& ctx) {
       return;
     }
   }
-  // Snapshot outside the lock (it is the expensive part). A racing store
-  // of the same key is resolved in admit_local: first writer wins.
-  std::shared_ptr<const Snapshot> snap = snapshot_of(ctx);
-  if (span.active()) {
-    span.annotate("bytes", static_cast<std::uint64_t>(snap->bytes));
-  }
+  // Snapshot outside the lock. A racing store of the same key is resolved
+  // in admit_local: first writer wins.
+  std::shared_ptr<const Snapshot> snap = make_snapshot(ctx.artifacts, ctx.steps);
   const bool over_budget = snap->bytes > options_.max_bytes;
   if (span.active()) {
+    span.annotate("bytes", static_cast<std::uint64_t>(snap->bytes));
     if (over_budget) {
       span.annotate("admitted", std::string("over-budget"));
     } else {
       span.annotate("admitted", true);
     }
   }
-  if (!over_budget) admit_local(key, std::move(snap));
+  if (!over_budget) admit_local(key, snap, nullptr);
   // Publish to the second-level tier even when over the local budget: the
   // tier has its own (typically larger) budget and serves every peer.
-  if (options_.second_level != nullptr) {
-    options_.second_level->publish(key, serialize_snapshot(ctx));
+  if (options_.second_level != nullptr) publish(key, *snap);
+}
+
+void FlowCache::publish(const util::Digest& key, const Snapshot& snap) {
+  CacheTier& tier = *options_.second_level;
+  // Addresses already known for resident artifacts skip serialization.
+  ArtifactAddresses addresses{};
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for_each_artifact(snap.artifacts, [&](std::size_t slot, const auto& p) {
+      const auto it = p ? resident_.find(p.get()) : resident_.end();
+      if (it != resident_.end() && it->second.address) {
+        addresses[slot] = *it->second.address;
+      }
+    });
+  }
+  bool learned = false;
+  for_each_artifact(snap.artifacts, [&](std::size_t slot, const auto& p) {
+    if (!p) return;
+    std::vector<std::uint8_t> blob;
+    if (addresses[slot] == util::Digest{}) {
+      blob = artifact_blob(snap.artifacts, slot);
+      addresses[slot] = artifact_address(slot, blob, addresses);
+      learned = true;
+    }
+    if (tier.contains(addresses[slot])) return;
+    if (blob.empty()) blob = artifact_blob(snap.artifacts, slot);
+    tier.publish(addresses[slot], blob);
+  });
+  if (learned) {
+    std::lock_guard<std::mutex> lock(mu_);
+    remember_addresses_locked(snap.artifacts, addresses);
+  }
+  if (!tier.contains(key)) {
+    tier.publish(key, serialize_manifest(snap.artifacts, snap.steps, addresses));
   }
 }
 
 void FlowCache::admit_local(const util::Digest& key,
-                            std::shared_ptr<const Snapshot> snap) {
+                            std::shared_ptr<const Snapshot> snap,
+                            const ArtifactAddresses* addresses) {
   if (snap->bytes > options_.max_bytes) return;  // would evict everything
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(key);
@@ -308,23 +350,55 @@ void FlowCache::admit_local(const util::Digest& key,
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
     return;
   }
+  // Charge the snapshot's own values, plus each artifact no resident
+  // snapshot holds yet.
+  bytes_ += snap->value_bytes;
+  for_each_artifact(snap->artifacts, [&](std::size_t slot, const auto& p) {
+    if (!p) return;
+    Resident& r = resident_[p.get()];
+    if (r.snapshots++ == 0) {
+      r.object = p;
+      r.bytes = snap->artifact_bytes[slot];
+      bytes_ += r.bytes;
+    }
+  });
+  if (addresses != nullptr) remember_addresses_locked(snap->artifacts, *addresses);
   lru_.push_front(key);
-  bytes_ += snap->bytes;
   index_.emplace(key, Entry{lru_.begin(), std::move(snap)});
   ++stores_;
   evict_to_budget_locked();
 }
 
+void FlowCache::remember_addresses_locked(const FlowArtifacts& a,
+                                          const ArtifactAddresses& addresses) {
+  for_each_artifact(a, [&](std::size_t slot, const auto& p) {
+    const auto it = p ? resident_.find(p.get()) : resident_.end();
+    if (it == resident_.end() || it->second.address) return;
+    it->second.address = addresses[slot];
+    by_address_.emplace(addresses[slot], p.get());
+  });
+}
+
 void FlowCache::evict_to_budget_locked() {
   while (bytes_ > options_.max_bytes && !lru_.empty()) {
-    const util::Digest victim = lru_.back();
-    const auto it = index_.find(victim);
-    if (it != index_.end()) {
-      bytes_ -= it->second.snapshot->bytes;
-      index_.erase(it);
-      ++evictions_;
-    }
+    const auto it = index_.find(lru_.back());
     lru_.pop_back();
+    if (it == index_.end()) continue;
+    // Release the snapshot's values, and each artifact it held last.
+    const Snapshot& snap = *it->second.snapshot;
+    bytes_ -= snap.value_bytes;
+    for_each_artifact(snap.artifacts, [&](std::size_t, const auto& p) {
+      const auto r = p ? resident_.find(p.get()) : resident_.end();
+      if (r == resident_.end() || --r->second.snapshots > 0) return;
+      bytes_ -= r->second.bytes;
+      if (r->second.address) {
+        const auto a = by_address_.find(*r->second.address);
+        if (a != by_address_.end() && a->second == p.get()) by_address_.erase(a);
+      }
+      resident_.erase(r);
+    });
+    index_.erase(it);
+    ++evictions_;
   }
 }
 
@@ -337,6 +411,8 @@ void FlowCache::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   index_.clear();
   lru_.clear();
+  resident_.clear();
+  by_address_.clear();
   bytes_ = 0;
 }
 

@@ -331,11 +331,12 @@ void append_detail(FlowContext& ctx, const std::string& name,
 // Each recorder is a pure overlay: it reads the artifacts the step just
 // produced and never writes back, so a run with symbols is bit-identical
 // to one without. Recording is deterministic (fixed iteration orders), so
-// cache snapshots of the same prefix carry identical tables.
+// cache snapshots of the same prefix carry identical tables. The table is
+// shared with cache snapshots, so map/dft/sta extend a copy and publish it.
 
 /// elaborate: the RTL declarations, straight from the design.
 void record_rtl_symbols(FlowContext& ctx) {
-  auto sym = std::make_unique<dbg::SymbolTable>();
+  auto sym = std::make_shared<dbg::SymbolTable>();
   for (const rtl::Signal& s : ctx.artifacts.design->signals()) {
     dbg::SymbolTable::RtlSignal rs;
     rs.name = sym->intern(s.name);
@@ -354,7 +355,8 @@ void record_rtl_symbols(FlowContext& ctx) {
 void record_map_symbols(FlowContext& ctx,
                         const std::vector<netlist::CellId>& buffer_cells) {
   if (!ctx.artifacts.symbols || !ctx.artifacts.mapped) return;
-  dbg::SymbolTable& sym = *ctx.artifacts.symbols;
+  auto copy = std::make_shared<dbg::SymbolTable>(*ctx.artifacts.symbols);
+  dbg::SymbolTable& sym = *copy;
   const netlist::Netlist& nl = *ctx.artifacts.mapped;
   sym.bits.clear();
   for (const netlist::Port& p : nl.inputs()) {
@@ -409,6 +411,7 @@ void record_map_symbols(FlowContext& ctx,
     }
   }
   sym.stage_mask |= dbg::kStageMap;
+  ctx.artifacts.symbols = std::move(copy);
 }
 
 /// dft: tag scan cells, then freeze the verilog writer's uniquified names
@@ -416,7 +419,8 @@ void record_map_symbols(FlowContext& ctx,
 void record_final_symbols(FlowContext& ctx,
                           const std::vector<netlist::CellId>& scan_cells) {
   if (!ctx.artifacts.symbols || !ctx.artifacts.mapped) return;
-  dbg::SymbolTable& sym = *ctx.artifacts.symbols;
+  auto copy = std::make_shared<dbg::SymbolTable>(*ctx.artifacts.symbols);
+  dbg::SymbolTable& sym = *copy;
   const netlist::Netlist& nl = *ctx.artifacts.mapped;
   sym.cell_origin.resize(
       nl.num_cells(), static_cast<std::uint8_t>(dbg::CellOrigin::kMapped));
@@ -446,13 +450,15 @@ void record_final_symbols(FlowContext& ctx,
     sym.instance_names.push_back(sym.intern(s));
   }
   sym.stage_mask |= dbg::kStageNames;
+  ctx.artifacts.symbols = std::move(copy);
 }
 
 /// sta: per-net arrival windows.
 void record_sta_symbols(FlowContext& ctx,
                         const std::vector<timing::NetArrival>& arrivals) {
   if (!ctx.artifacts.symbols) return;
-  dbg::SymbolTable& sym = *ctx.artifacts.symbols;
+  auto copy = std::make_shared<dbg::SymbolTable>(*ctx.artifacts.symbols);
+  dbg::SymbolTable& sym = *copy;
   sym.arrival_ps.resize(arrivals.size());
   sym.arrival_min_ps.resize(arrivals.size());
   sym.net_driven.resize(arrivals.size());
@@ -462,10 +468,11 @@ void record_sta_symbols(FlowContext& ctx,
     sym.net_driven[i] = arrivals[i].driven ? 1 : 0;
   }
   sym.stage_mask |= dbg::kStageSta;
+  ctx.artifacts.symbols = std::move(copy);
 }
 
 util::Status step_library(FlowContext& ctx) {
-  ctx.artifacts.library = std::make_unique<netlist::CellLibrary>(
+  ctx.artifacts.library = std::make_shared<const netlist::CellLibrary>(
       pdk::build_library(ctx.config.node));
   append_detail(ctx, "library",
                 std::to_string(ctx.artifacts.library->size()) + " cells for " +
@@ -476,7 +483,7 @@ util::Status step_library(FlowContext& ctx) {
 util::Status step_elaborate(FlowContext& ctx) {
   auto aig = synth::elaborate(*ctx.artifacts.design);
   if (!aig.ok()) return aig.status();
-  ctx.artifacts.aig = std::make_unique<synth::Aig>(std::move(*aig));
+  ctx.artifacts.aig = std::make_shared<const synth::Aig>(std::move(*aig));
   record_rtl_symbols(ctx);
   append_detail(ctx, "elaborate",
                 std::to_string(ctx.artifacts.aig->num_ands()) + " AND nodes, " +
@@ -494,7 +501,8 @@ util::Status step_synth(FlowContext& ctx) {
   const int iters =
       ctx.config.synth_iterations.value_or(k.synth_iterations);
   synth::OptStats stats;
-  *ctx.artifacts.aig = synth::optimize(*ctx.artifacts.aig, iters, &stats);
+  ctx.artifacts.aig = std::make_shared<const synth::Aig>(
+      synth::optimize(*ctx.artifacts.aig, iters, &stats));
   append_detail(ctx, "synth",
                 std::to_string(stats.initial_ands) + " -> " +
                     std::to_string(stats.final_ands) + " ANDs, depth " +
@@ -558,17 +566,13 @@ util::Status step_map(FlowContext& ctx) {
     }
   }
 
-  ctx.artifacts.mapped =
-      std::make_unique<netlist::Netlist>(std::move(*mapped));
-
-  // Fanout buffering (commercial preset).
+  // Fanout buffering (commercial preset) edits the local netlist before it
+  // is published.
   std::string buffer_note;
   synth::BufferStats bstats;
   if (k.buffer_max_fanout >= 2) {
-    if (util::Status s =
-            synth::insert_buffers(*ctx.artifacts.mapped,
-                                  *ctx.artifacts.library,
-                                  k.buffer_max_fanout, &bstats);
+    if (util::Status s = synth::insert_buffers(
+            *mapped, *ctx.artifacts.library, k.buffer_max_fanout, &bstats);
         !s.ok()) {
       return s;
     }
@@ -577,6 +581,8 @@ util::Status step_map(FlowContext& ctx) {
           ", +" + std::to_string(bstats.buffers_inserted) + " fanout buffers";
     }
   }
+  ctx.artifacts.mapped =
+      std::make_shared<const netlist::Netlist>(std::move(*mapped));
   record_map_symbols(ctx, bstats.cells);
   append_detail(ctx, "map",
                 std::to_string(ctx.artifacts.mapped->num_cells()) +
@@ -600,12 +606,16 @@ util::Status step_dft(FlowContext& ctx) {
     append_detail(ctx, "dft", "combinational design, no scan chain");
     return util::Status::Ok();
   }
+  // Scan insertion edits a copy: the mapped netlist may be shared with
+  // cache snapshots.
+  auto scanned = std::make_shared<netlist::Netlist>(*ctx.artifacts.mapped);
   synth::ScanStats stats;
   if (util::Status s = synth::insert_scan_chain(
-          *ctx.artifacts.mapped, *ctx.artifacts.library, &stats);
+          *scanned, *ctx.artifacts.library, &stats);
       !s.ok()) {
     return s;
   }
+  ctx.artifacts.mapped = std::move(scanned);
   record_final_symbols(ctx, stats.cells);
   append_detail(ctx, "dft",
                 std::to_string(stats.flops_in_chain) +
@@ -627,7 +637,7 @@ util::Status step_place(FlowContext& ctx) {
       place::place(*ctx.artifacts.mapped, ctx.config.node, po, &stats);
   if (!placed.ok()) return placed.status();
   ctx.artifacts.placed =
-      std::make_unique<place::PlacedDesign>(std::move(*placed));
+      std::make_shared<const place::PlacedDesign>(std::move(*placed));
   append_detail(ctx, "place",
                 "HPWL " + util::fmt_si(static_cast<double>(stats.hpwl_final), 2) +
                     " dbu, " + std::to_string(stats.cells) + " cells");
@@ -644,7 +654,8 @@ util::Status step_cts(FlowContext& ctx) {
   }
   auto tree = cts::build_htree(*ctx.artifacts.placed, ctx.config.node);
   if (!tree.ok()) return tree.status();
-  ctx.artifacts.clock_tree = std::make_unique<cts::ClockTree>(std::move(*tree));
+  ctx.artifacts.clock_tree =
+      std::make_shared<const cts::ClockTree>(std::move(*tree));
   append_detail(ctx, "cts",
                 std::to_string(ctx.artifacts.clock_tree->buffer_count) +
                     " buffers, skew " +
@@ -664,7 +675,7 @@ util::Status step_route(FlowContext& ctx) {
   auto routed = route::route(*ctx.artifacts.placed, ctx.config.node, ro, &stats);
   if (!routed.ok()) return routed.status();
   ctx.artifacts.routed =
-      std::make_unique<route::RoutedDesign>(std::move(*routed));
+      std::make_shared<const route::RoutedDesign>(std::move(*routed));
   append_detail(
       ctx, "route",
       "wirelength " +

@@ -25,9 +25,10 @@
 //   * nobody mutates a FlowTemplate's step list (add/remove/replace_step)
 //     while another thread is executing it.
 // A FlowCache (FlowConfig::cache) MAY be shared by any number of
-// concurrent execute() calls: the cache is internally synchronized, and
-// both store and lookup deep-copy the artifacts, so no mutable artifact
-// state is ever aliased between runs or between a run and the cache — see
+// concurrent execute() calls: the cache is internally synchronized, and the
+// heap artifacts it shares between runs are immutable (shared_ptr<const T>;
+// steps replace them, never edit them), so no mutable artifact state is
+// ever aliased between runs or between a run and the cache — see
 // cache.hpp. The only process-wide mutable state in the stack is util's
 // log threshold, which is atomic. eurochip::hub::JobServer relies on this
 // contract to run flows on a worker pool that shares one FlowCache.
@@ -142,25 +143,30 @@ struct StepRecord {
   bool cached = false;
 };
 
-/// All intermediate artifacts, individually heap-held so cross-references
-/// (netlist -> library, placed -> netlist, ...) survive moves.
+/// All intermediate artifacts. The heap artifacts are immutable once a
+/// step publishes them and are shared by pointer: a FlowCache snapshot, a
+/// restored run and the run that built them all hold the same objects. A
+/// step that changes an upstream artifact builds a new one (copying first
+/// where it edits) and replaces the pointer; it never writes through it.
+/// Cross-references (mapped -> library, placed -> mapped, routed -> placed)
+/// are raw pointers into the objects this struct holds.
 struct FlowArtifacts {
   const rtl::Module* design = nullptr;
-  std::unique_ptr<netlist::CellLibrary> library;
-  std::unique_ptr<synth::Aig> aig;
-  std::unique_ptr<netlist::Netlist> mapped;
-  std::unique_ptr<place::PlacedDesign> placed;
-  std::unique_ptr<cts::ClockTree> clock_tree;  ///< null for comb designs
-  std::unique_ptr<route::RoutedDesign> routed;
+  std::shared_ptr<const netlist::CellLibrary> library;
+  std::shared_ptr<const synth::Aig> aig;
+  std::shared_ptr<const netlist::Netlist> mapped;
+  std::shared_ptr<const place::PlacedDesign> placed;
+  std::shared_ptr<const cts::ClockTree> clock_tree;  ///< null for comb designs
+  std::shared_ptr<const route::RoutedDesign> routed;
   timing::TimingReport timing;
   power::PowerReport power;
   drc::DrcReport drc;
   std::vector<std::uint8_t> gds_bytes;
   /// Cross-stage symbol provenance (dbg). Created by the elaborate step and
-  /// extended by map/dft/sta; an overlay that never feeds back into any
-  /// artifact or the artifact digest, so runs are bit-identical with or
-  /// without consumers. Carried in cache snapshots (serialize v3).
-  std::unique_ptr<dbg::SymbolTable> symbols;
+  /// extended (copy, then edit) by map/dft/sta; an overlay that never feeds
+  /// back into any artifact or the artifact digest, so runs are
+  /// bit-identical with or without consumers.
+  std::shared_ptr<const dbg::SymbolTable> symbols;
 };
 
 struct FlowResult {

@@ -1,14 +1,18 @@
 // Wire-format (de)serialization of flow artifacts — the exchange format
-// the federated second-level cache (fed::RemoteCache) stores snapshots in.
+// the federated second-level cache (fed::RemoteCache) stores in.
 //
-// Where FlowCache snapshots are in-memory deep copies, a federated hub
-// needs artifacts as bytes: serialize_snapshot() flattens a FlowContext's
-// artifacts + step records into a self-contained little-endian stream
-// (util::WireWriter) with a magic/version header and a util::Digest
-// trailer over the payload; deserialize_snapshot() verifies the trailer,
-// reassembles every artifact on the heap, and rewires the cross-references
-// (mapped -> library, placed -> mapped, routed -> placed) exactly like
-// FlowCache::restore does.
+// In memory a FlowCache snapshot shares its artifacts by pointer; across
+// hubs they travel as bytes (util::WireWriter, little-endian). The L2 holds
+// two kinds of value:
+//   * an artifact blob: one heap artifact's encoding, stored under its
+//     content address H(version, slot, blob, address of the artifact it
+//     points at), so equal artifacts are stored once and a reader can
+//     verify a blob against the address it asked for;
+//   * a manifest, stored under a step key: a magic/version header, the
+//     addresses of the snapshot's artifacts, the value reports and step
+//     records, and a util::Digest trailer over the payload.
+// Reading rewires the cross-references (mapped -> library, placed ->
+// mapped, routed -> placed) to the artifacts the reader already holds.
 //
 // Determinism contract: serializing equal artifacts yields equal bytes,
 // and a deserialized artifact is indistinguishable from the original to
@@ -18,11 +22,11 @@
 // crashes: it surfaces as a non-OK Status, which the cache tier treats as
 // a miss.
 //
-// The per-type functions are exposed (rather than just the snapshot pair)
-// so tests can round-trip each artifact in isolation and so future remote
-// services can ship individual artifacts.
+// The per-type functions are exposed so tests can round-trip each artifact
+// in isolation; the artifact-blob functions below are built on them.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -36,8 +40,9 @@ namespace eurochip::flow {
 /// change; readers reject unknown versions (a federation can then roll
 /// hubs forward without poisoning the shared cache).
 inline constexpr std::uint32_t kWireMagic = 0x53464345u;  // "ECFS" LE
-inline constexpr std::uint32_t kWireVersion =
-    3;  // v2: SoA netlist image; v3: routed geometry + dbg::SymbolTable
+/// v2: SoA netlist image; v3: routed geometry + dbg::SymbolTable;
+/// v4: content-addressed artifact blobs plus per-step manifests.
+inline constexpr std::uint32_t kWireVersion = 4;
 
 // --- per-artifact encoders ------------------------------------------------
 
@@ -59,7 +64,8 @@ void serialize(util::WireWriter& w, const netlist::Netlist& nl);
     util::WireReader& r, const netlist::CellLibrary* library);
 
 void serialize(util::WireWriter& w, const place::PlacedDesign& placed);
-/// `netlist` is borrowed; net_pad_points is rebuilt, not shipped.
+/// `netlist` is borrowed and required; net_pad_points is rebuilt, not
+/// shipped.
 [[nodiscard]] util::Result<place::PlacedDesign> deserialize_placed(
     util::WireReader& r, const netlist::Netlist* netlist);
 
@@ -68,6 +74,7 @@ void serialize(util::WireWriter& w, const cts::ClockTree& tree);
     util::WireReader& r);
 
 void serialize(util::WireWriter& w, const route::RoutedDesign& routed);
+/// `placed` is borrowed and required.
 [[nodiscard]] util::Result<route::RoutedDesign> deserialize_routed(
     util::WireReader& r, const place::PlacedDesign* placed);
 
@@ -93,17 +100,67 @@ void serialize(util::WireWriter& w, const dbg::SymbolTable& sym);
 [[nodiscard]] util::Result<dbg::SymbolTable> deserialize_symbols(
     util::WireReader& r);
 
-// --- whole-snapshot convenience (what RemoteCache stores) -----------------
+// --- content-addressed snapshots (what RemoteCache stores) ---------------
 
-/// Flattens ctx.artifacts (except the borrowed `design` pointer) and
-/// ctx.steps into one self-verifying byte stream.
-[[nodiscard]] std::vector<std::uint8_t> serialize_snapshot(
-    const FlowContext& ctx);
+/// The heap artifacts of FlowArtifacts, in manifest order.
+enum ArtifactSlot : std::size_t {
+  kLibrarySlot,
+  kAigSlot,
+  kMappedSlot,
+  kPlacedSlot,
+  kClockTreeSlot,
+  kRoutedSlot,
+  kSymbolsSlot,
+  kArtifactSlots
+};
 
-/// Verifies the digest trailer and header, then rebuilds artifacts +
-/// steps into `ctx` (ctx.artifacts.design is left untouched). On any
-/// error `ctx` may hold a partial restore and must be discarded.
-[[nodiscard]] util::Status deserialize_snapshot(
-    const std::vector<std::uint8_t>& bytes, FlowContext& ctx);
+/// One content address per slot; a zero Digest marks an absent artifact.
+using ArtifactAddresses = std::array<util::Digest, kArtifactSlots>;
+
+/// Calls f(slot, member) for each heap-artifact pointer of `a`, in slot
+/// order, so an upstream artifact is always visited before its dependents.
+template <typename Artifacts, typename F>
+void for_each_artifact(Artifacts& a, F&& f) {
+  f(kLibrarySlot, a.library);
+  f(kAigSlot, a.aig);
+  f(kMappedSlot, a.mapped);
+  f(kPlacedSlot, a.placed);
+  f(kClockTreeSlot, a.clock_tree);
+  f(kRoutedSlot, a.routed);
+  f(kSymbolsSlot, a.symbols);
+}
+
+/// The slot whose artifact `slot` points into (mapped -> library, placed
+/// -> mapped, routed -> placed); kArtifactSlots for the rest.
+[[nodiscard]] std::size_t upstream_slot(std::size_t slot);
+
+/// The encoding of artifact `slot` of `a`, which must be set.
+[[nodiscard]] std::vector<std::uint8_t> artifact_blob(const FlowArtifacts& a,
+                                                      std::size_t slot);
+
+/// H(version, slot, blob, addresses[upstream_slot(slot)]): the address the
+/// blob is stored under.
+[[nodiscard]] util::Digest artifact_address(
+    std::size_t slot, const std::vector<std::uint8_t>& blob,
+    const ArtifactAddresses& addresses);
+
+/// Checks `blob` against addresses[slot], then decodes it into slot `slot`
+/// of `a`, wired to the upstream artifact `a` already holds.
+[[nodiscard]] util::Status read_artifact_blob(
+    std::size_t slot, const std::vector<std::uint8_t>& blob,
+    const ArtifactAddresses& addresses, FlowArtifacts& a);
+
+/// The manifest of a snapshot: `addresses`, the value reports of
+/// `artifacts`, and `steps`, sealed with a digest trailer.
+[[nodiscard]] std::vector<std::uint8_t> serialize_manifest(
+    const FlowArtifacts& artifacts, const std::vector<StepRecord>& steps,
+    const ArtifactAddresses& addresses);
+
+/// Verifies the trailer and header, then fills `addresses`, the value
+/// reports of ctx.artifacts and ctx.steps (heap artifacts are untouched).
+/// On any error the outputs may be partial and must be discarded.
+[[nodiscard]] util::Status deserialize_manifest(
+    const std::vector<std::uint8_t>& bytes, FlowContext& ctx,
+    ArtifactAddresses& addresses);
 
 }  // namespace eurochip::flow

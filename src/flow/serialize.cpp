@@ -1,6 +1,7 @@
 #include "eurochip/flow/serialize.hpp"
 
 #include <algorithm>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -18,24 +19,31 @@ void write_point(util::WireWriter& w, const util::Point& p) {
   w.i64(p.x).i64(p.y);
 }
 
-util::Point read_point(util::WireReader& r) {
-  util::Point p;
-  p.x = r.i64();
-  p.y = r.i64();
-  return p;
-}
+// Braced initializers evaluate left to right, so these read in field order.
+util::Point read_point(util::WireReader& r) { return {r.i64(), r.i64()}; }
 
 void write_rect(util::WireWriter& w, const util::Rect& rect) {
   w.i64(rect.lx).i64(rect.ly).i64(rect.ux).i64(rect.uy);
 }
 
 util::Rect read_rect(util::WireReader& r) {
-  util::Rect rect;
-  rect.lx = r.i64();
-  rect.ly = r.i64();
-  rect.ux = r.i64();
-  rect.uy = r.i64();
-  return rect;
+  return {r.i64(), r.i64(), r.i64(), r.i64()};
+}
+
+/// Reads `n` elements with `read_one`, stopping once the reader fails.
+template <typename F>
+auto read_n(util::WireReader& r, std::size_t n, F read_one) {
+  std::vector<decltype(read_one())> v;
+  v.reserve(n);
+  for (std::size_t i = 0; i < n && r.ok(); ++i) v.push_back(read_one());
+  return v;
+}
+
+/// A size-prefixed sequence.
+template <typename F>
+auto read_seq(util::WireReader& r, F read_one) {
+  const std::size_t n = r.size();
+  return read_n(r, n, read_one);
 }
 
 void write_doubles(util::WireWriter& w, const std::vector<double>& v) {
@@ -44,11 +52,7 @@ void write_doubles(util::WireWriter& w, const std::vector<double>& v) {
 }
 
 std::vector<double> read_doubles(util::WireReader& r) {
-  const std::size_t n = r.size();
-  std::vector<double> v;
-  v.reserve(n);
-  for (std::size_t i = 0; i < n && r.ok(); ++i) v.push_back(r.f64());
-  return v;
+  return read_seq(r, [&r] { return r.f64(); });
 }
 
 void write_table(util::WireWriter& w, const netlist::NldmTable& t) {
@@ -279,80 +283,39 @@ util::Result<netlist::Netlist> deserialize_netlist(
   std::string name = r.str();
   netlist::RawNetlist raw;
   raw.name_arena = r.str();
+  const auto read_u32 = [&r] { return r.u32(); };
+  const auto read_name = [&r] { return netlist::NameRef{r.u32(), r.u32()}; };
+  const auto read_net = [&r] { return netlist::NetId{r.u32()}; };
   const std::size_t num_cells = r.size();
-  raw.cell_name.reserve(num_cells);
-  for (std::size_t i = 0; i < num_cells && r.ok(); ++i) {
-    const std::uint32_t off = r.u32();
-    raw.cell_name.push_back(netlist::NameRef{off, r.u32()});
+  raw.cell_name = read_n(r, num_cells, read_name);
+  raw.cell_lib = read_n(r, num_cells, read_u32);
+  for (const std::uint32_t lib : raw.cell_lib) {
+    if (lib >= library->size()) return bad("cell library index out of range");
   }
-  raw.cell_lib.reserve(num_cells);
-  for (std::size_t i = 0; i < num_cells && r.ok(); ++i) {
-    raw.cell_lib.push_back(r.u32());
-    if (r.ok() && raw.cell_lib.back() >= library->size()) {
-      return bad("cell library index out of range");
-    }
-  }
-  raw.cell_fanin_begin.reserve(num_cells + 1);
-  for (std::size_t i = 0; i < num_cells + 1 && r.ok(); ++i) {
-    raw.cell_fanin_begin.push_back(r.u32());
-  }
+  raw.cell_fanin_begin = read_n(r, num_cells + 1, read_u32);
   const std::size_t num_fanins =
       r.ok() && !raw.cell_fanin_begin.empty() ? raw.cell_fanin_begin.back() : 0;
-  raw.fanin_pool.reserve(num_fanins);
-  for (std::size_t i = 0; i < num_fanins && r.ok(); ++i) {
-    raw.fanin_pool.push_back(netlist::NetId{r.u32()});
-  }
-  raw.cell_output.reserve(num_cells);
-  for (std::size_t i = 0; i < num_cells && r.ok(); ++i) {
-    raw.cell_output.push_back(netlist::NetId{r.u32()});
-  }
+  raw.fanin_pool = read_n(r, num_fanins, read_net);
+  raw.cell_output = read_n(r, num_cells, read_net);
   const std::size_t num_nets = r.size();
-  raw.net_name.reserve(num_nets);
-  for (std::size_t i = 0; i < num_nets && r.ok(); ++i) {
-    const std::uint32_t off = r.u32();
-    raw.net_name.push_back(netlist::NameRef{off, r.u32()});
+  raw.net_name = read_n(r, num_nets, read_name);
+  raw.net_driver_kind = read_n(
+      r, num_nets, [&r] { return static_cast<netlist::DriverKind>(r.u8()); });
+  for (const netlist::DriverKind k : raw.net_driver_kind) {
+    if (k > netlist::DriverKind::kConst1) return bad("unknown net driver kind");
   }
-  raw.net_driver_kind.reserve(num_nets);
-  for (std::size_t i = 0; i < num_nets && r.ok(); ++i) {
-    const std::uint8_t kind = r.u8();
-    if (r.ok() &&
-        kind > static_cast<std::uint8_t>(netlist::DriverKind::kConst1)) {
-      return bad("unknown net driver kind");
-    }
-    raw.net_driver_kind.push_back(static_cast<netlist::DriverKind>(kind));
-  }
-  raw.net_driver_cell.reserve(num_nets);
-  for (std::size_t i = 0; i < num_nets && r.ok(); ++i) {
-    raw.net_driver_cell.push_back(netlist::CellId{r.u32()});
-  }
-  raw.net_is_output.reserve(num_nets);
-  for (std::size_t i = 0; i < num_nets && r.ok(); ++i) {
-    raw.net_is_output.push_back(r.u8());
-  }
-  raw.sink_begin.reserve(num_nets + 1);
-  for (std::size_t i = 0; i < num_nets + 1 && r.ok(); ++i) {
-    raw.sink_begin.push_back(r.u32());
-  }
+  raw.net_driver_cell =
+      read_n(r, num_nets, [&r] { return netlist::CellId{r.u32()}; });
+  raw.net_is_output = read_n(r, num_nets, [&r] { return r.u8(); });
+  raw.sink_begin = read_n(r, num_nets + 1, read_u32);
   const std::size_t num_sinks =
       r.ok() && !raw.sink_begin.empty() ? raw.sink_begin.back() : 0;
-  raw.sink_pool.reserve(num_sinks);
-  for (std::size_t i = 0; i < num_sinks && r.ok(); ++i) {
-    const std::uint32_t cell = r.u32();
-    raw.sink_pool.push_back(
-        netlist::PinRef{netlist::CellId{cell}, r.u8()});
-  }
-  const auto read_ports = [&r](std::vector<netlist::Port>& ports) {
-    const std::size_t n = r.size();
-    ports.reserve(n);
-    for (std::size_t i = 0; i < n && r.ok(); ++i) {
-      netlist::Port p;
-      p.name = r.str();
-      p.net = netlist::NetId{r.u32()};
-      ports.push_back(std::move(p));
-    }
-  };
-  read_ports(raw.inputs);
-  read_ports(raw.outputs);
+  raw.sink_pool = read_n(r, num_sinks, [&r] {
+    return netlist::PinRef{netlist::CellId{r.u32()}, r.u8()};
+  });
+  const auto read_port = [&] { return netlist::Port{r.str(), read_net()}; };
+  raw.inputs = read_seq(r, read_port);
+  raw.outputs = read_seq(r, read_port);
   if (!r.ok()) return bad("truncated netlist");
   for (const netlist::Port& p : raw.inputs) {
     if (p.net.valid() && p.net.value >= num_nets) {
@@ -390,40 +353,29 @@ void serialize(util::WireWriter& w, const place::PlacedDesign& placed) {
 
 util::Result<place::PlacedDesign> deserialize_placed(
     util::WireReader& r, const netlist::Netlist* netlist) {
+  if (netlist == nullptr) return bad("placement without netlist");
   place::PlacedDesign placed;
   placed.netlist = netlist;
   const util::Rect die = read_rect(r);
   const util::Rect core = read_rect(r);
-  const std::size_t num_rows = r.size();
-  std::vector<place::Row> rows;
-  rows.reserve(num_rows);
-  for (std::size_t i = 0; i < num_rows && r.ok(); ++i) {
-    rows.push_back(place::Row{read_rect(r)});
-  }
+  std::vector<place::Row> rows =
+      read_seq(r, [&r] { return place::Row{read_rect(r)}; });
   const std::int64_t site_width = r.i64();
   const std::int64_t row_height = r.i64();
   const double utilization = r.f64();
   placed.floorplan = place::Floorplan::from_raw(
       die, core, std::move(rows), site_width, row_height, utilization);
-  const auto read_points = [&r](std::vector<util::Point>& pts) {
-    const std::size_t n = r.size();
-    pts.reserve(n);
-    for (std::size_t i = 0; i < n && r.ok(); ++i) {
-      pts.push_back(read_point(r));
-    }
-  };
-  read_points(placed.cell_origin);
-  read_points(placed.input_pad);
-  read_points(placed.output_pad);
+  const auto read_pt = [&r] { return read_point(r); };
+  placed.cell_origin = read_seq(r, read_pt);
+  placed.input_pad = read_seq(r, read_pt);
+  placed.output_pad = read_seq(r, read_pt);
   if (!r.ok()) return bad("truncated placement");
-  if (netlist != nullptr) {
-    if (placed.cell_origin.size() != netlist->num_cells() ||
-        placed.input_pad.size() != netlist->inputs().size() ||
-        placed.output_pad.size() != netlist->outputs().size()) {
-      return bad("placement does not match netlist shape");
-    }
-    placed.build_pad_index();
+  if (placed.cell_origin.size() != netlist->num_cells() ||
+      placed.input_pad.size() != netlist->inputs().size() ||
+      placed.output_pad.size() != netlist->outputs().size()) {
+    return bad("placement does not match netlist shape");
   }
+  placed.build_pad_index();
   return placed;
 }
 
@@ -448,26 +400,19 @@ void serialize(util::WireWriter& w, const cts::ClockTree& tree) {
 
 util::Result<cts::ClockTree> deserialize_clock_tree(util::WireReader& r) {
   cts::ClockTree tree;
-  const std::size_t num_nodes = r.size();
-  tree.nodes.reserve(num_nodes);
-  for (std::size_t i = 0; i < num_nodes && r.ok(); ++i) {
+  tree.nodes = read_seq(r, [&r] {
     cts::TreeNode n;
     n.location = read_point(r);
-    const std::size_t children = r.size();
-    n.children.reserve(children);
-    for (std::size_t k = 0; k < children && r.ok(); ++k) {
-      const std::uint32_t c = r.u32();
-      if (c >= num_nodes) return bad("clock-tree child out of range");
-      n.children.push_back(c);
-    }
-    const std::size_t sinks = r.size();
-    n.sinks.reserve(sinks);
-    for (std::size_t k = 0; k < sinks && r.ok(); ++k) {
-      n.sinks.push_back(netlist::CellId{r.u32()});
-    }
+    n.children = read_seq(r, [&r] { return r.u32(); });
+    n.sinks = read_seq(r, [&r] { return netlist::CellId{r.u32()}; });
     n.level = static_cast<int>(r.i64());
     n.segment_length_um = r.f64();
-    tree.nodes.push_back(std::move(n));
+    return n;
+  });
+  for (const cts::TreeNode& n : tree.nodes) {
+    for (const std::uint32_t c : n.children) {
+      if (c >= tree.nodes.size()) return bad("clock-tree child out of range");
+    }
   }
   tree.num_sinks = static_cast<std::size_t>(r.u64());
   tree.buffer_count = static_cast<int>(r.i64());
@@ -503,34 +448,26 @@ void serialize(util::WireWriter& w, const route::RoutedDesign& routed) {
 
 util::Result<route::RoutedDesign> deserialize_routed(
     util::WireReader& r, const place::PlacedDesign* placed) {
+  if (placed == nullptr) return bad("routing without placement");
   route::RoutedDesign routed;
   routed.placed = placed;
-  const std::size_t num_nets = r.size();
-  routed.nets.reserve(num_nets);
-  for (std::size_t i = 0; i < num_nets && r.ok(); ++i) {
+  routed.nets = read_seq(r, [&r] {
     route::NetRoute n;
     n.net = netlist::NetId{r.u32()};
     n.wirelength_dbu = r.i64();
     n.vias = static_cast<int>(r.i64());
     n.routed = r.boolean();
-    const std::size_t num_waypoints = r.size();
-    n.waypoints.reserve(num_waypoints);
-    for (std::size_t k = 0; k < num_waypoints && r.ok(); ++k) {
-      route::RoutePoint p;
-      p.x = static_cast<std::int32_t>(r.i64());
-      p.y = static_cast<std::int32_t>(r.i64());
-      n.waypoints.push_back(p);
+    n.waypoints = read_seq(r, [&r] {
+      return route::RoutePoint{static_cast<std::int32_t>(r.i64()),
+                               static_cast<std::int32_t>(r.i64())};
+    });
+    n.seg_begin = read_seq(r, [&r] { return r.u32(); });
+    return n;
+  });
+  for (const route::NetRoute& n : routed.nets) {
+    for (const std::uint32_t s : n.seg_begin) {
+      if (s > n.waypoints.size()) return bad("routing segment index out of range");
     }
-    const std::size_t num_segs = r.size();
-    n.seg_begin.reserve(num_segs);
-    for (std::size_t k = 0; k < num_segs && r.ok(); ++k) {
-      const std::uint32_t s = r.u32();
-      if (r.ok() && s > n.waypoints.size()) {
-        return bad("routing segment index out of range");
-      }
-      n.seg_begin.push_back(s);
-    }
-    routed.nets.push_back(std::move(n));
   }
   routed.gcell_dbu = r.i64();
   routed.total_wirelength_dbu = r.i64();
@@ -567,25 +504,11 @@ util::Result<timing::TimingReport> deserialize_timing(util::WireReader& r) {
   t.clock_period_ps = r.f64();
   t.critical_path_delay_ps = r.f64();
   t.fmax_mhz = r.f64();
-  const std::size_t endpoints = r.size();
-  t.endpoints.reserve(endpoints);
-  for (std::size_t i = 0; i < endpoints && r.ok(); ++i) {
-    timing::Endpoint e;
-    e.name = r.str();
-    e.arrival_ps = r.f64();
-    e.required_ps = r.f64();
-    e.slack_ps = r.f64();
-    t.endpoints.push_back(std::move(e));
-  }
-  const std::size_t path = r.size();
-  t.critical_path.reserve(path);
-  for (std::size_t i = 0; i < path && r.ok(); ++i) {
-    timing::PathStep s;
-    s.point = r.str();
-    s.arrival_ps = r.f64();
-    s.incr_ps = r.f64();
-    t.critical_path.push_back(std::move(s));
-  }
+  t.endpoints = read_seq(r, [&r] {
+    return timing::Endpoint{r.str(), r.f64(), r.f64(), r.f64()};
+  });
+  t.critical_path = read_seq(
+      r, [&r] { return timing::PathStep{r.str(), r.f64(), r.f64()}; });
   t.num_endpoints = static_cast<std::size_t>(r.u64());
   t.worst_hold_slack_ps = r.f64();
   t.hold_violations = static_cast<std::size_t>(r.u64());
@@ -648,22 +571,14 @@ void serialize(util::WireWriter& w, const std::vector<StepRecord>& steps) {
 }
 
 util::Result<std::vector<StepRecord>> deserialize_steps(util::WireReader& r) {
-  const std::size_t n = r.size();
-  std::vector<StepRecord> steps;
-  steps.reserve(n);
-  for (std::size_t i = 0; i < n && r.ok(); ++i) {
-    StepRecord s;
-    s.name = r.str();
-    s.runtime_ms = r.f64();
-    s.detail = r.str();
-    s.cached = r.boolean();
-    steps.push_back(std::move(s));
-  }
+  std::vector<StepRecord> steps = read_seq(r, [&r] {
+    return StepRecord{r.str(), r.f64(), r.str(), r.boolean()};
+  });
   if (!r.ok()) return bad("truncated step records");
   return steps;
 }
 
-// --- SymbolTable (wire v3) ------------------------------------------------
+// --- SymbolTable ----------------------------------------------------------
 
 namespace {
 
@@ -691,13 +606,7 @@ netlist::NameRef read_nameref(util::WireReader& r, std::size_t arena_size) {
 
 std::vector<netlist::NameRef> read_namerefs(util::WireReader& r,
                                             std::size_t arena_size) {
-  const std::size_t n = r.size();
-  std::vector<netlist::NameRef> v;
-  v.reserve(n);
-  for (std::size_t i = 0; i < n && r.ok(); ++i) {
-    v.push_back(read_nameref(r, arena_size));
-  }
-  return v;
+  return read_seq(r, [&] { return read_nameref(r, arena_size); });
 }
 
 }  // namespace
@@ -735,35 +644,28 @@ util::Result<dbg::SymbolTable> deserialize_symbols(util::WireReader& r) {
   sym.set_arena(r.str());
   const std::size_t arena_size = sym.arena().size();
   sym.stage_mask = r.u8();
-  const std::size_t num_signals = r.size();
-  sym.rtl_signals.reserve(num_signals);
-  for (std::size_t i = 0; i < num_signals && r.ok(); ++i) {
+  sym.rtl_signals = read_seq(r, [&] {
     dbg::SymbolTable::RtlSignal s;
     s.name = read_nameref(r, arena_size);
     s.kind = r.u8();
     s.width = static_cast<std::int32_t>(r.i64());
-    sym.rtl_signals.push_back(s);
-  }
-  const std::size_t num_bits = r.size();
-  sym.bits.reserve(num_bits);
-  for (std::size_t i = 0; i < num_bits && r.ok(); ++i) {
+    return s;
+  });
+  sym.bits = read_seq(r, [&] {
     dbg::SymbolTable::Bit b;
     b.name = read_nameref(r, arena_size);
-    const std::uint8_t kind = r.u8();
-    if (r.ok() &&
-        kind > static_cast<std::uint8_t>(dbg::SymbolTable::BitKind::kReg)) {
-      return bad("unknown symbol bit kind");
-    }
-    b.kind = static_cast<dbg::SymbolTable::BitKind>(kind);
+    b.kind = static_cast<dbg::SymbolTable::BitKind>(r.u8());
     b.net = netlist::NetId{r.u32()};
     b.cell = netlist::CellId{r.u32()};
-    sym.bits.push_back(b);
+    return b;
+  });
+  for (const dbg::SymbolTable::Bit& b : sym.bits) {
+    if (b.kind > dbg::SymbolTable::BitKind::kReg) {
+      return bad("unknown symbol bit kind");
+    }
   }
-  const std::size_t num_origins = r.size();
-  sym.cell_origin.reserve(num_origins);
-  for (std::size_t i = 0; i < num_origins && r.ok(); ++i) {
-    sym.cell_origin.push_back(r.u8());
-  }
+  const auto read_u8 = [&r] { return r.u8(); };
+  sym.cell_origin = read_seq(r, read_u8);
   sym.module_name = read_nameref(r, arena_size);
   sym.clock_name = read_nameref(r, arena_size);
   sym.input_names = read_namerefs(r, arena_size);
@@ -772,121 +674,126 @@ util::Result<dbg::SymbolTable> deserialize_symbols(util::WireReader& r) {
   sym.instance_names = read_namerefs(r, arena_size);
   sym.arrival_ps = read_doubles(r);
   sym.arrival_min_ps = read_doubles(r);
-  const std::size_t num_driven = r.size();
-  sym.net_driven.reserve(num_driven);
-  for (std::size_t i = 0; i < num_driven && r.ok(); ++i) {
-    sym.net_driven.push_back(r.u8());
-  }
+  sym.net_driven = read_seq(r, read_u8);
   if (!r.ok()) return bad("truncated symbol table");
   return sym;
 }
 
-// --- snapshot -------------------------------------------------------------
+// --- content-addressed snapshots (wire v4) --------------------------------
 
-std::vector<std::uint8_t> serialize_snapshot(const FlowContext& ctx) {
+namespace {
+
+/// Moves a decoded value into `out`: a value member, or a shared artifact
+/// pointer that takes ownership.
+template <typename T, typename Out>
+util::Status adopt(util::Result<T> value, Out& out) {
+  if (!value.ok()) return value.status();
+  if constexpr (std::is_same_v<Out, T>) {
+    out = std::move(*value);
+  } else {
+    out = std::make_shared<const T>(std::move(*value));
+  }
+  return util::Status::Ok();
+}
+
+}  // namespace
+
+std::size_t upstream_slot(std::size_t slot) {
+  switch (slot) {
+    case kMappedSlot: return kLibrarySlot;
+    case kPlacedSlot: return kMappedSlot;
+    case kRoutedSlot: return kPlacedSlot;
+    default: return kArtifactSlots;
+  }
+}
+
+std::vector<std::uint8_t> artifact_blob(const FlowArtifacts& a,
+                                        std::size_t slot) {
+  util::WireWriter w;
+  for_each_artifact(a, [&](std::size_t s, const auto& p) {
+    if (s == slot) serialize(w, *p);
+  });
+  return w.take();
+}
+
+util::Digest artifact_address(std::size_t slot,
+                              const std::vector<std::uint8_t>& blob,
+                              const ArtifactAddresses& addresses) {
+  util::Hasher h;
+  h.u32(kWireMagic).u32(kWireVersion).u64(slot).u64(blob.size());
+  h.bytes(blob.data(), blob.size());
+  if (upstream_slot(slot) != kArtifactSlots) {
+    h.digest(addresses[upstream_slot(slot)]);
+  }
+  return h.finalize();
+}
+
+util::Status read_artifact_blob(std::size_t slot,
+                                const std::vector<std::uint8_t>& blob,
+                                const ArtifactAddresses& addresses,
+                                FlowArtifacts& a) {
+  if (!(artifact_address(slot, blob, addresses) == addresses[slot])) {
+    return bad("artifact blob does not match its address");
+  }
+  util::WireReader r(blob);
+  switch (slot) {
+    case kLibrarySlot: return adopt(deserialize_library(r), a.library);
+    case kAigSlot: return adopt(deserialize_aig(r), a.aig);
+    case kMappedSlot:
+      return adopt(deserialize_netlist(r, a.library.get()), a.mapped);
+    case kPlacedSlot:
+      return adopt(deserialize_placed(r, a.mapped.get()), a.placed);
+    case kClockTreeSlot: return adopt(deserialize_clock_tree(r), a.clock_tree);
+    case kRoutedSlot:
+      return adopt(deserialize_routed(r, a.placed.get()), a.routed);
+    case kSymbolsSlot: return adopt(deserialize_symbols(r), a.symbols);
+    default: return bad("unknown artifact slot");
+  }
+}
+
+std::vector<std::uint8_t> serialize_manifest(
+    const FlowArtifacts& artifacts, const std::vector<StepRecord>& steps,
+    const ArtifactAddresses& addresses) {
   util::WireWriter w;
   w.u32(kWireMagic).u32(kWireVersion);
-  const FlowArtifacts& a = ctx.artifacts;
-  w.boolean(a.library != nullptr);
-  if (a.library) serialize(w, *a.library);
-  w.boolean(a.aig != nullptr);
-  if (a.aig) serialize(w, *a.aig);
-  w.boolean(a.mapped != nullptr);
-  if (a.mapped) serialize(w, *a.mapped);
-  w.boolean(a.placed != nullptr);
-  if (a.placed) serialize(w, *a.placed);
-  w.boolean(a.clock_tree != nullptr);
-  if (a.clock_tree) serialize(w, *a.clock_tree);
-  w.boolean(a.routed != nullptr);
-  if (a.routed) serialize(w, *a.routed);
-  w.boolean(a.symbols != nullptr);
-  if (a.symbols) serialize(w, *a.symbols);
-  serialize(w, a.timing);
-  serialize(w, a.power);
-  serialize(w, a.drc);
-  w.blob(a.gds_bytes);
-  serialize(w, ctx.steps);
-
-  std::vector<std::uint8_t> payload = w.take();
+  for (const util::Digest& d : addresses) w.u64(d.hi).u64(d.lo);
+  serialize(w, artifacts.timing);
+  serialize(w, artifacts.power);
+  serialize(w, artifacts.drc);
+  w.blob(artifacts.gds_bytes);
+  serialize(w, steps);
   // Self-verification trailer: the transfer path (a remote cache, someday
   // a real network) is the one place bytes can rot undetected.
   util::Hasher h;
-  h.bytes(payload.data(), payload.size());
+  h.bytes(w.buffer().data(), w.buffer().size());
   const util::Digest d = h.finalize();
-  util::WireWriter tail;
-  tail.u64(d.hi).u64(d.lo);
-  const std::vector<std::uint8_t>& tb = tail.buffer();
-  payload.insert(payload.end(), tb.begin(), tb.end());
-  return payload;
+  w.u64(d.hi).u64(d.lo);
+  return w.take();
 }
 
-util::Status deserialize_snapshot(const std::vector<std::uint8_t>& bytes,
-                                  FlowContext& ctx) {
-  if (bytes.size() < 16 + 8 + 1) return bad("snapshot too short");
+util::Status deserialize_manifest(const std::vector<std::uint8_t>& bytes,
+                                  FlowContext& ctx,
+                                  ArtifactAddresses& addresses) {
+  if (bytes.size() < 16 + 8 + 1) return bad("manifest too short");
   const std::size_t payload_size = bytes.size() - 16;
   util::Hasher h;
   h.bytes(bytes.data(), payload_size);
-  const util::Digest computed = h.finalize();
   util::WireReader trailer(bytes.data() + payload_size, 16);
   const util::Digest stored{trailer.u64(), trailer.u64()};
-  if (!(computed == stored)) return bad("snapshot digest mismatch");
+  if (!(h.finalize() == stored)) return bad("manifest digest mismatch");
 
   util::WireReader r(bytes.data(), payload_size);
-  if (r.u32() != kWireMagic) return bad("bad snapshot magic");
-  if (r.u32() != kWireVersion) return bad("unsupported snapshot version");
+  if (r.u32() != kWireMagic) return bad("bad manifest magic");
+  if (r.u32() != kWireVersion) return bad("unsupported manifest version");
+  for (util::Digest& d : addresses) d = util::Digest{r.u64(), r.u64()};
   FlowArtifacts& a = ctx.artifacts;
-  if (r.boolean()) {
-    auto lib = deserialize_library(r);
-    if (!lib.ok()) return lib.status();
-    a.library = std::make_unique<netlist::CellLibrary>(std::move(*lib));
-  }
-  if (r.boolean()) {
-    auto aig = deserialize_aig(r);
-    if (!aig.ok()) return aig.status();
-    a.aig = std::make_unique<synth::Aig>(std::move(*aig));
-  }
-  if (r.boolean()) {
-    auto nl = deserialize_netlist(r, a.library.get());
-    if (!nl.ok()) return nl.status();
-    a.mapped = std::make_unique<netlist::Netlist>(std::move(*nl));
-  }
-  if (r.boolean()) {
-    if (!a.mapped) return bad("placement without netlist");
-    auto placed = deserialize_placed(r, a.mapped.get());
-    if (!placed.ok()) return placed.status();
-    a.placed = std::make_unique<place::PlacedDesign>(std::move(*placed));
-  }
-  if (r.boolean()) {
-    auto tree = deserialize_clock_tree(r);
-    if (!tree.ok()) return tree.status();
-    a.clock_tree = std::make_unique<cts::ClockTree>(std::move(*tree));
-  }
-  if (r.boolean()) {
-    if (!a.placed) return bad("routing without placement");
-    auto routed = deserialize_routed(r, a.placed.get());
-    if (!routed.ok()) return routed.status();
-    a.routed = std::make_unique<route::RoutedDesign>(std::move(*routed));
-  }
-  if (r.boolean()) {
-    auto sym = deserialize_symbols(r);
-    if (!sym.ok()) return sym.status();
-    a.symbols = std::make_unique<dbg::SymbolTable>(std::move(*sym));
-  }
-  auto timing = deserialize_timing(r);
-  if (!timing.ok()) return timing.status();
-  a.timing = std::move(*timing);
-  auto power = deserialize_power(r);
-  if (!power.ok()) return power.status();
-  a.power = std::move(*power);
-  auto drc = deserialize_drc(r);
-  if (!drc.ok()) return drc.status();
-  a.drc = std::move(*drc);
+  util::Status st = adopt(deserialize_timing(r), a.timing);
+  if (st.ok()) st = adopt(deserialize_power(r), a.power);
+  if (st.ok()) st = adopt(deserialize_drc(r), a.drc);
   a.gds_bytes = r.blob();
-  auto steps = deserialize_steps(r);
-  if (!steps.ok()) return steps.status();
-  ctx.steps = std::move(*steps);
-  if (!r.ok()) return bad("truncated snapshot");
-  return util::Status::Ok();
+  if (st.ok()) st = adopt(deserialize_steps(r), ctx.steps);
+  if (st.ok() && r.remaining() != 0) st = bad("trailing bytes in manifest");
+  return st;
 }
 
 }  // namespace eurochip::flow

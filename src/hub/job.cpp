@@ -93,7 +93,8 @@ JobSpec make_flow_job(std::string name,
     flow::FlowConfig cfg = config;
     cfg.cancel = ctx.cancel;
     // The server's shared artifact cache (if any). Safe across workers:
-    // FlowCache is internally synchronized and snapshots are deep copies.
+    // FlowCache is internally synchronized and the artifacts its snapshots
+    // share are immutable.
     cfg.cache = ctx.cache;
     // Load shedding: admitted above the watermark -> run at open effort.
     if (ctx.degraded) cfg.quality = flow::FlowQuality::kOpen;

@@ -20,11 +20,11 @@
 //   * names are interned into one string arena and referenced by
 //     (offset, size) pairs — accessors hand out std::string_view.
 //
-// Consequences: a Netlist deep copy is a handful of flat memcpys plus one
-// arena copy (what flow::FlowCache snapshots do per store/lookup), the
-// whole structure costs a bounded number of bytes per cell (enforced by
-// bench_netlist_scale), and traversal kernels stream through contiguous
-// arrays. Per-id annotations in consumers should use netlist::IdMap
+// Consequences: a Netlist copy is a handful of flat memcpys plus one arena
+// copy (what a flow step that edits a shared netlist pays, e.g. scan
+// insertion), the whole structure costs a bounded number of bytes per cell
+// (enforced by bench_netlist_scale), and traversal kernels stream through
+// contiguous arrays. Per-id annotations in consumers should use netlist::IdMap
 // (side_table.hpp) rather than ad-hoc hash maps.
 //
 // Accessors return lightweight views (CellView/NetView) by value; like
@@ -235,13 +235,6 @@ class Netlist {
   /// Swaps a cell's library entry for another implementing the same
   /// function (used by drive-strength sizing).
   util::Status replace_cell_lib(CellId cell, std::uint32_t new_lib_index);
-
-  /// Re-points the netlist at a different (but identically laid out)
-  /// CellLibrary. Used when a netlist is deep-copied together with its
-  /// library (flow::FlowCache snapshots): the copy must reference the
-  /// copied library, not the original. `library` must hold the same cells
-  /// at the same indices; nothing else is rewritten.
-  void rebind_library(const CellLibrary* library) { library_ = library; }
 
   /// Reassembles a netlist from a raw SoA image (wire-format
   /// deserialization; flow/serialize). Shape consistency (array lengths,

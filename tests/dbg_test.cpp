@@ -1,5 +1,5 @@
 // Design-debug provenance (eurochip::dbg): the SymbolTable recorded by the
-// reference flow, the query API ("where did my adder go?"), serialize v3
+// reference flow, the query API ("where did my adder go?"), wire-format
 // snapshot stability, cache-backed answers, and flight-record rendering.
 //
 // The acceptance design is mul16 (rtl::designs::multiplier(16)): every RTL
@@ -24,6 +24,7 @@
 #include "eurochip/pdk/registry.hpp"
 #include "eurochip/rtl/designs.hpp"
 #include "eurochip/util/wire.hpp"
+#include "wire_snapshot.hpp"
 
 namespace eurochip {
 namespace {
@@ -243,7 +244,7 @@ TEST(DbgConeTest, OutputConeReachesThePrimaryInputs) {
   }
 }
 
-// --- serialize v3 ----------------------------------------------------------
+// --- wire format -----------------------------------------------------------
 
 template <typename T>
 std::vector<std::uint8_t> bytes_of(const T& value) {
@@ -265,14 +266,15 @@ TEST(DbgSerializeTest, SymbolTableRoundTripIsByteStable) {
   EXPECT_EQ(bytes_of(*back), bytes);  // re-encoding is the identity
 }
 
-TEST(DbgSerializeTest, SnapshotV3CarriesSymbolsAndStaysDigestStable) {
+TEST(DbgSerializeTest, SnapshotCarriesSymbolsAndStaysDigestStable) {
   const auto& b = baked();
-  const auto bytes = flow::serialize_snapshot(b.ctx);
+  const wire_test::WireSnapshot wire = wire_test::to_wire(b.ctx);
+  ASSERT_FALSE(wire.blobs[flow::kSymbolsSlot].empty());
 
   flow::FlowContext restored;
   restored.config = b.ctx.config;
   restored.artifacts.design = b.design.get();
-  const auto st = flow::deserialize_snapshot(bytes, restored);
+  const auto st = wire_test::from_wire(wire, restored);
   ASSERT_TRUE(st.ok()) << st.to_string();
 
   ASSERT_NE(restored.artifacts.symbols, nullptr);
@@ -282,8 +284,10 @@ TEST(DbgSerializeTest, SnapshotV3CarriesSymbolsAndStaysDigestStable) {
               flow::digest_of(*b.ctx.artifacts.routed));
 
   // Digest-stable across save/load: re-serializing the restored context
-  // yields the identical stream.
-  EXPECT_EQ(flow::serialize_snapshot(restored), bytes);
+  // yields the identical blobs and manifest.
+  const wire_test::WireSnapshot again = wire_test::to_wire(restored);
+  EXPECT_EQ(again.blobs, wire.blobs);
+  EXPECT_EQ(again.manifest, wire.manifest);
 
   // The restored context answers queries like the live one.
   expect_where_is_round_trips(restored);

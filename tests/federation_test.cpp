@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -19,6 +20,7 @@
 #include "eurochip/flow/cache.hpp"
 #include "eurochip/flow/fingerprint.hpp"
 #include "eurochip/flow/flow.hpp"
+#include "eurochip/flow/serialize.hpp"
 #include "eurochip/hub/job.hpp"
 #include "eurochip/pdk/registry.hpp"
 #include "eurochip/rtl/designs.hpp"
@@ -213,6 +215,158 @@ TEST(FederationCacheStackTest, CorruptRemoteBytesAreRejectedNotTrusted) {
   EXPECT_EQ(b.stats().remote_hits, 0u);
   EXPECT_EQ(flow::digest_of(*second->artifacts.routed),
             flow::digest_of(*first->artifacts.routed));
+}
+
+/// The hub's artifact identity (hub::make_flow_job): mapped, placed and
+/// routed digests plus the GDS stream.
+util::Digest artifact_digest(const flow::FlowArtifacts& a) {
+  util::Hasher h;
+  h.digest(flow::digest_of(*a.mapped));
+  h.digest(flow::digest_of(*a.placed));
+  h.digest(flow::digest_of(*a.routed));
+  h.bytes(a.gds_bytes.data(), a.gds_bytes.size());
+  return h.finalize();
+}
+
+/// Key of the reference template's last step for (design, cfg).
+util::Digest final_key(const rtl::Module& design, const flow::FlowConfig& cfg) {
+  std::vector<util::Digest> keys;
+  std::vector<bool> keyable;
+  flow::reference_template().step_keys(design, cfg, &keys, &keyable);
+  return keys.back();
+}
+
+TEST(FederationCacheStackTest, PowerVariantPublishesOnlyWhatItComputed) {
+  fed::RemoteCache remote;
+  const auto design = rtl::designs::counter(6);
+  flow::FlowCache a(flow::FlowCache::Options{.max_bytes = 64u << 20,
+                                             .second_level = &remote});
+  auto cfg = open_config(24);
+  cfg.cache = &a;
+  const auto base = flow::run_reference_flow(design, cfg);
+  ASSERT_TRUE(base.ok()) << base.status().to_string();
+  // One full snapshot on the wire: every artifact blob plus the manifest.
+  std::size_t full = flow::serialize_manifest(base->artifacts, base->steps,
+                                              flow::ArtifactAddresses{})
+                         .size();
+  flow::for_each_artifact(base->artifacts, [&](std::size_t slot, const auto& p) {
+    if (p) full += flow::artifact_blob(base->artifacts, slot).size();
+  });
+
+  // A power-only variant reruns power, drc and gds on the base's
+  // artifacts: it publishes three manifests and no artifact blob.
+  auto variant_cfg = cfg;
+  power::PowerOptions po;
+  po.clock_mhz = 250.0;
+  variant_cfg.power_options = po;
+  const std::uint64_t before = remote.stats().bytes_published;
+  const auto variant = flow::run_reference_flow(design, variant_cfg);
+  ASSERT_TRUE(variant.ok()) << variant.status().to_string();
+  EXPECT_EQ(variant->cache_hits, 9u);
+  EXPECT_NE(variant->ppa.power_uw, base->ppa.power_uw);
+  EXPECT_LE(remote.stats().bytes_published - before, full / 5);
+
+  // A second hub with a cold L1 restores the variant from the tier alone.
+  flow::FlowCache b(flow::FlowCache::Options{.max_bytes = 64u << 20,
+                                             .second_level = &remote});
+  variant_cfg.cache = &b;
+  const auto restored = flow::run_reference_flow(design, variant_cfg);
+  ASSERT_TRUE(restored.ok()) << restored.status().to_string();
+  EXPECT_EQ(restored->cache_hits, restored->steps.size());
+  EXPECT_EQ(b.stats().remote_hits, 1u);
+  EXPECT_EQ(artifact_digest(restored->artifacts),
+            artifact_digest(variant->artifacts));
+  EXPECT_EQ(restored->ppa.power_uw, variant->ppa.power_uw);
+}
+
+/// A tier that hands out tampered copies of one stored value.
+class TamperingTier : public flow::CacheTier {
+ public:
+  explicit TamperingTier(fed::RemoteCache& inner) : inner_(inner) {}
+
+  bool fetch(const util::Digest& key,
+             std::vector<std::uint8_t>* out) override {
+    if (!inner_.fetch(key, out)) return false;
+    if (tamper && key == target) tamper(*out);
+    return true;
+  }
+  void publish(const util::Digest& key,
+               const std::vector<std::uint8_t>& bytes) override {
+    inner_.publish(key, bytes);
+  }
+  bool contains(const util::Digest& key) const override {
+    return inner_.contains(key);
+  }
+
+  util::Digest target;
+  std::function<void(std::vector<std::uint8_t>&)> tamper;
+
+ private:
+  fed::RemoteCache& inner_;
+};
+
+TEST(FederationCacheStackTest, TamperedManifestsAndBlobsAreRemoteErrors) {
+  fed::RemoteCache remote;
+  const auto design = rtl::designs::counter(6);
+  flow::FlowCache a(flow::FlowCache::Options{.max_bytes = 64u << 20,
+                                             .second_level = &remote});
+  auto cfg = open_config(25);
+  cfg.cache = &a;
+  ASSERT_TRUE(flow::run_reference_flow(design, cfg).ok());
+  const util::Digest key = final_key(design, cfg);
+
+  std::vector<std::uint8_t> manifest;
+  ASSERT_TRUE(remote.fetch(key, &manifest));
+  flow::FlowContext parsed;
+  flow::ArtifactAddresses addresses{};
+  ASSERT_TRUE(flow::deserialize_manifest(manifest, parsed, addresses).ok());
+  std::vector<util::Digest> targets{key};
+  for (const util::Digest& d : addresses) {
+    if (!(d == util::Digest{})) targets.push_back(d);
+  }
+  ASSERT_EQ(targets.size(), 1 + flow::kArtifactSlots);
+
+  TamperingTier tier(remote);
+  // Each tampered lookup must count one remote error and one miss.
+  const auto expect_rejected = [&](const std::string& what) {
+    flow::FlowCache b(flow::FlowCache::Options{.max_bytes = 64u << 20,
+                                               .second_level = &tier});
+    flow::FlowContext ctx;
+    EXPECT_FALSE(b.lookup(key, ctx)) << what;
+    EXPECT_EQ(b.stats().remote_errors, 1u) << what;
+    EXPECT_EQ(b.stats().misses, 1u) << what;
+  };
+  for (const util::Digest& target : targets) {
+    std::vector<std::uint8_t> bytes;
+    ASSERT_TRUE(remote.fetch(target, &bytes));
+    tier.target = target;
+    const std::size_t stride = bytes.size() / 31 + 1;
+    for (std::size_t pos = 0; pos < bytes.size(); pos += stride) {
+      tier.tamper = [pos](std::vector<std::uint8_t>& b) { b[pos] ^= 0x5Au; };
+      expect_rejected("flip at " + std::to_string(pos) + " of " +
+                      target.hex());
+      tier.tamper = [pos](std::vector<std::uint8_t>& b) { b.resize(pos); };
+      expect_rejected("prefix of " + std::to_string(pos) + " of " +
+                      target.hex());
+    }
+    if (target == key) continue;
+    // A blob served under another artifact's address.
+    for (const util::Digest& other : targets) {
+      if (other == target || other == key) continue;
+      std::vector<std::uint8_t> swapped;
+      ASSERT_TRUE(remote.fetch(other, &swapped));
+      tier.tamper = [swapped](std::vector<std::uint8_t>& b) { b = swapped; };
+      expect_rejected(other.hex() + " served as " + target.hex());
+    }
+  }
+
+  // Untampered, the same tier restores the snapshot.
+  tier.tamper = nullptr;
+  flow::FlowCache b(flow::FlowCache::Options{.max_bytes = 64u << 20,
+                                             .second_level = &tier});
+  flow::FlowContext ctx;
+  EXPECT_TRUE(b.lookup(key, ctx));
+  EXPECT_EQ(b.stats().remote_hits, 1u);
 }
 
 TEST(FederationCacheStackTest, RemoteFaultsDegradeTheStackGracefully) {

@@ -2,6 +2,7 @@
 // concurrent sharing across flow runs and JobServer workers.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <thread>
@@ -180,27 +181,59 @@ TEST(FlowCacheTest, CustomStepBreaksKeyChain) {
   EXPECT_EQ(warm->cache_hits, 2u);
 }
 
-TEST(FlowCacheTest, RestoredArtifactsAreRebasedDeepCopies) {
+TEST(FlowCacheTest, RestoredArtifactsAreSharedAndImmutable) {
   flow::FlowCache cache;
   const auto m = rtl::designs::counter(8);
   auto cfg = base_config();
   cfg.cache = &cache;
   const auto cold = flow::run_reference_flow(m, cfg);
   ASSERT_TRUE(cold.ok());
+  const util::Digest cold_mapped = flow::digest_of(*cold->artifacts.mapped);
 
   const auto warm = flow::run_reference_flow(m, cfg);
+  const auto again = flow::run_reference_flow(m, cfg);
   ASSERT_TRUE(warm.ok());
+  ASSERT_TRUE(again.ok());
   const auto& a = warm->artifacts;
   ASSERT_NE(a.mapped, nullptr);
   ASSERT_NE(a.placed, nullptr);
   ASSERT_NE(a.routed, nullptr);
-  // No aliasing into the cold run's artifacts...
-  EXPECT_NE(a.mapped.get(), cold->artifacts.mapped.get());
-  EXPECT_NE(a.placed.get(), cold->artifacts.placed.get());
-  // ...and internal cross-references point inside this copy.
+  // Restores share the snapshot's artifacts instead of copying them...
+  EXPECT_EQ(a.library.get(), again->artifacts.library.get());
+  EXPECT_EQ(a.aig.get(), again->artifacts.aig.get());
+  EXPECT_EQ(a.mapped.get(), again->artifacts.mapped.get());
+  EXPECT_EQ(a.placed.get(), again->artifacts.placed.get());
+  EXPECT_EQ(a.clock_tree.get(), again->artifacts.clock_tree.get());
+  EXPECT_EQ(a.routed.get(), again->artifacts.routed.get());
+  EXPECT_EQ(a.symbols.get(), again->artifacts.symbols.get());
+  // ...whose cross-references point inside the snapshot.
   EXPECT_EQ(&a.mapped->library(), a.library.get());
   EXPECT_EQ(a.placed->netlist, a.mapped.get());
   EXPECT_EQ(a.routed->placed, a.placed.get());
+
+  // A step that changes a restored artifact copies it first, so the cached
+  // snapshot keeps the netlist it was stored with.
+  auto t = flow::reference_template();
+  t.add_step({"eco",
+              [](flow::FlowContext& ctx) {
+                auto edited =
+                    std::make_shared<netlist::Netlist>(*ctx.artifacts.mapped);
+                edited->add_input("eco_spare");
+                ctx.artifacts.mapped = std::move(edited);
+                return util::Status::Ok();
+              },
+              nullptr});  // no fingerprint: runs uncached after the restore
+  const auto eco = t.execute(m, cfg);
+  ASSERT_TRUE(eco.ok());
+  EXPECT_EQ(eco->cache_hits, flow::reference_template().steps().size());
+  EXPECT_NE(flow::digest_of(*eco->artifacts.mapped), cold_mapped);
+  std::vector<util::Digest> keys;
+  std::vector<bool> keyable;
+  flow::reference_template().step_keys(m, cfg, &keys, &keyable);
+  flow::FlowContext probe;
+  ASSERT_TRUE(cache.lookup(keys.back(), probe));
+  EXPECT_EQ(probe.artifacts.mapped.get(), a.mapped.get());
+  EXPECT_EQ(flow::digest_of(*probe.artifacts.mapped), cold_mapped);
 }
 
 // --- direct cache mechanics ---------------------------------------------
@@ -218,6 +251,27 @@ util::Digest key_of(std::uint64_t i) {
   util::Hasher h;
   h.str("test-key").u64(i);
   return h.finalize();
+}
+
+TEST(FlowCacheTest, BudgetChargesEachArtifactOnce) {
+  // The twelve cumulative snapshots of a run share their artifacts, so the
+  // whole run costs little more than its final snapshot alone.
+  for (const auto& entry : rtl::designs::standard_catalog(1)) {
+    flow::FlowCache cache;
+    auto cfg = base_config();
+    cfg.cache = &cache;
+    const auto run = flow::run_reference_flow(entry.module, cfg);
+    ASSERT_TRUE(run.ok()) << entry.name << ": " << run.status().to_string();
+    ASSERT_EQ(cache.stats().entries, run->steps.size()) << entry.name;
+
+    flow::FlowContext final_ctx;
+    final_ctx.artifacts = run->artifacts;
+    final_ctx.steps = run->steps;
+    flow::FlowCache alone;
+    alone.store(key_of(0), final_ctx);
+    ASSERT_EQ(alone.stats().entries, 1u) << entry.name;
+    EXPECT_LE(cache.stats().bytes, 2 * alone.stats().bytes) << entry.name;
+  }
 }
 
 TEST(FlowCacheTest, LruEvictionRespectsByteBudget) {
@@ -326,6 +380,56 @@ TEST(FlowCacheTest, ConcurrentStoreAndEvictionIsSafe) {
     });
   }
   for (auto& th : threads) th.join();
+  EXPECT_LE(cache.stats().bytes, opt.max_bytes);
+}
+
+TEST(FlowCacheTest, ConcurrentRestoreOfAnEvictedSnapshotIsSafe) {
+  // Readers restore and hash one shared snapshot while a writer stores
+  // variants that evict it: a restored artifact must stay alive and
+  // unchanged after the cache drops its last reference.
+  const auto m = rtl::designs::counter(8);
+  const auto run = flow::run_reference_flow(m, base_config());
+  ASSERT_TRUE(run.ok()) << run.status().to_string();
+  flow::FlowContext shared;
+  shared.artifacts = run->artifacts;
+  shared.steps = run->steps;
+  const util::Digest routed = flow::digest_of(*run->artifacts.routed);
+  const util::Digest mapped = flow::digest_of(*run->artifacts.mapped);
+
+  flow::FlowCache sizing;
+  sizing.store(key_of(0), shared);
+  const std::size_t snapshot_bytes = sizing.stats().bytes;
+  flow::FlowCache::Options opt;
+  opt.max_bytes = 2 * snapshot_bytes;
+  flow::FlowCache cache(opt);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> restores{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      while (!done.load()) {
+        flow::FlowContext ctx;
+        if (!cache.lookup(key_of(0), ctx)) continue;
+        ++restores;
+        EXPECT_EQ(flow::digest_of(*ctx.artifacts.routed), routed);
+        EXPECT_EQ(flow::digest_of(*ctx.artifacts.mapped), mapped);
+      }
+    });
+  }
+  // The snapshot and a variant do not fit together, so each store evicts
+  // the other — the snapshot while readers may still hold its artifacts.
+  for (std::uint64_t i = 1; i <= 24; ++i) {
+    cache.store(key_of(0), shared);
+    const int seen = restores.load();
+    for (int spin = 0; spin < 100000 && restores.load() == seen; ++spin) {
+      std::this_thread::yield();
+    }
+    cache.store(key_of(i), synthetic_ctx(snapshot_bytes * 3 / 2 / 1024));
+  }
+  done = true;
+  for (auto& th : readers) th.join();
+  EXPECT_GT(cache.stats().evictions, 0u);
   EXPECT_LE(cache.stats().bytes, opt.max_bytes);
 }
 

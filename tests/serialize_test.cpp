@@ -1,8 +1,8 @@
 // Wire-format round trips for every flow artifact (flow/serialize.hpp):
 // a deserialized artifact must be indistinguishable from the original —
 // equal content digests where digest_of exists, byte-identical
-// re-serialization everywhere — and corrupt/truncated streams must be
-// rejected with a Status, never a crash.
+// re-serialization everywhere — and corrupt/truncated manifests and
+// artifact blobs must be rejected with a Status, never a crash.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,9 +15,14 @@
 #include "eurochip/pdk/registry.hpp"
 #include "eurochip/rtl/designs.hpp"
 #include "eurochip/util/wire.hpp"
+#include "wire_snapshot.hpp"
 
 namespace eurochip {
 namespace {
+
+using wire_test::from_wire;
+using wire_test::to_wire;
+using wire_test::WireSnapshot;
 
 // One reference-flow run on a sequential design (counter has flops, so
 // every artifact — clock tree included — is populated), shared by all
@@ -165,12 +170,12 @@ TEST(SerializeTest, ReportsRoundTripByteStable) {
 
 TEST(SerializeSnapshotTest, RoundTripPreservesEveryArtifact) {
   const Baked& b = baked();
-  const auto bytes = flow::serialize_snapshot(b.ctx);
-  ASSERT_GT(bytes.size(), 24u);
+  const WireSnapshot wire = to_wire(b.ctx);
+  ASSERT_GT(wire.manifest.size(), 24u);
 
   flow::FlowContext out;
   out.artifacts.design = b.design.get();
-  const auto st = flow::deserialize_snapshot(bytes, out);
+  const auto st = from_wire(wire, out);
   ASSERT_TRUE(st.ok()) << st.to_string();
 
   ASSERT_NE(out.artifacts.mapped, nullptr);
@@ -185,42 +190,86 @@ TEST(SerializeSnapshotTest, RoundTripPreservesEveryArtifact) {
   EXPECT_EQ(out.artifacts.gds_bytes, b.ctx.artifacts.gds_bytes);
   EXPECT_EQ(out.steps.size(), b.ctx.steps.size());
   EXPECT_EQ(out.artifacts.design, b.design.get());  // borrowed ptr untouched
+  // Cross-references are wired to the artifacts read alongside them.
+  EXPECT_EQ(&out.artifacts.mapped->library(), out.artifacts.library.get());
+  EXPECT_EQ(out.artifacts.placed->netlist, out.artifacts.mapped.get());
+  EXPECT_EQ(out.artifacts.routed->placed, out.artifacts.placed.get());
 
-  // Serialization is deterministic: round-tripped context re-encodes to
-  // the identical byte stream (the property the content-addressed remote
-  // cache relies on).
-  out.config = b.ctx.config;
-  EXPECT_EQ(flow::serialize_snapshot(out), bytes);
+  // Serialization is deterministic: the round-tripped context re-encodes
+  // to identical blobs, addresses and manifest (the property the
+  // content-addressed remote cache relies on).
+  const WireSnapshot again = to_wire(out);
+  EXPECT_EQ(again.blobs, wire.blobs);
+  EXPECT_EQ(again.addresses, wire.addresses);
+  EXPECT_EQ(again.manifest, wire.manifest);
+}
+
+/// Calls f(bytes) for the manifest and for each artifact blob of `wire`.
+template <typename F>
+void for_each_stream(WireSnapshot& wire, F&& f) {
+  f(wire.manifest);
+  for (auto& blob : wire.blobs) {
+    if (!blob.empty()) f(blob);
+  }
 }
 
 TEST(SerializeSnapshotTest, EveryTruncationIsRejectedCleanly) {
-  const auto bytes = flow::serialize_snapshot(baked().ctx);
-  // Every prefix must fail with a Status (digest trailer or bounds check),
-  // never crash. Stride keeps the loop fast on multi-KB streams.
-  const std::size_t stride = bytes.size() / 257 + 1;
-  for (std::size_t len = 0; len < bytes.size(); len += stride) {
-    std::vector<std::uint8_t> prefix(bytes.begin(),
-                                     bytes.begin() + static_cast<long>(len));
-    flow::FlowContext out;
-    EXPECT_FALSE(flow::deserialize_snapshot(prefix, out).ok())
-        << "prefix of " << len << " bytes decoded";
-  }
+  WireSnapshot wire = to_wire(baked().ctx);
+  // Every prefix of the manifest or of an artifact blob must fail with a
+  // Status (digest trailer, address or bounds check), never crash. Stride
+  // keeps the loop fast on multi-KB streams.
+  for_each_stream(wire, [&](std::vector<std::uint8_t>& bytes) {
+    const std::vector<std::uint8_t> whole = bytes;
+    const std::size_t stride = whole.size() / 257 + 1;
+    for (std::size_t len = 0; len < whole.size(); len += stride) {
+      bytes.assign(whole.begin(), whole.begin() + static_cast<long>(len));
+      flow::FlowContext out;
+      EXPECT_FALSE(from_wire(wire, out).ok())
+          << "prefix of " << len << " of " << whole.size() << " bytes decoded";
+    }
+    bytes = whole;
+  });
 }
 
 TEST(SerializeSnapshotTest, EveryByteFlipIsRejected) {
-  const auto bytes = flow::serialize_snapshot(baked().ctx);
-  const std::size_t stride = bytes.size() / 97 + 1;
-  for (std::size_t pos = 0; pos < bytes.size(); pos += stride) {
-    auto corrupt = bytes;
-    corrupt[pos] ^= 0x5Au;
-    flow::FlowContext out;
-    EXPECT_FALSE(flow::deserialize_snapshot(corrupt, out).ok())
-        << "flip at byte " << pos << " decoded";
+  WireSnapshot wire = to_wire(baked().ctx);
+  for_each_stream(wire, [&](std::vector<std::uint8_t>& bytes) {
+    const std::size_t stride = bytes.size() / 97 + 1;
+    for (std::size_t pos = 0; pos < bytes.size(); pos += stride) {
+      bytes[pos] ^= 0x5Au;
+      flow::FlowContext out;
+      EXPECT_FALSE(from_wire(wire, out).ok())
+          << "flip at byte " << pos << " of " << bytes.size() << " decoded";
+      bytes[pos] ^= 0x5Au;
+    }
+  });
+}
+
+TEST(SerializeSnapshotTest, BlobUnderAnotherAddressIsRejected) {
+  const WireSnapshot wire = to_wire(baked().ctx);
+  for (std::size_t slot = 0; slot < flow::kArtifactSlots; ++slot) {
+    for (std::size_t other = 0; other < flow::kArtifactSlots; ++other) {
+      if (other == slot || wire.blobs[other].empty()) continue;
+      flow::FlowArtifacts a = baked().ctx.artifacts;
+      EXPECT_FALSE(flow::read_artifact_blob(slot, wire.blobs[other],
+                                            wire.addresses, a)
+                       .ok())
+          << "blob " << other << " accepted as artifact " << slot;
+    }
   }
+  // The address covers the upstream artifact too: the same netlist blob
+  // under a different library is a different artifact.
+  flow::ArtifactAddresses moved = wire.addresses;
+  moved[flow::kLibrarySlot].lo ^= 1;
+  flow::FlowArtifacts a = baked().ctx.artifacts;
+  EXPECT_FALSE(flow::read_artifact_blob(flow::kMappedSlot,
+                                        wire.blobs[flow::kMappedSlot], moved,
+                                        a)
+                   .ok());
 }
 
 TEST(SerializeSnapshotTest, WrongVersionIsRejected) {
-  // A stream whose digest is valid but whose version is unknown must be
+  // A manifest whose digest is valid but whose version is unknown must be
   // rejected by the header check, not mis-parsed.
   util::WireWriter w;
   w.u32(flow::kWireMagic);
@@ -235,8 +284,8 @@ TEST(SerializeSnapshotTest, WrongVersionIsRejected) {
   trailer.u64(d.lo);
   for (auto byte : std::move(trailer).take()) payload.push_back(byte);
   flow::FlowContext out;
-  const auto st = flow::deserialize_snapshot(payload, out);
-  EXPECT_FALSE(st.ok());
+  flow::ArtifactAddresses addresses{};
+  EXPECT_FALSE(flow::deserialize_manifest(payload, out, addresses).ok());
 }
 
 }  // namespace
