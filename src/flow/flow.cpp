@@ -204,8 +204,8 @@ util::Result<FlowResult> FlowTemplate::execute(const rtl::Module& design,
       }
     }
     // One span per executed step (cached steps are skipped entirely and
-    // appear as the probe span's resume_depth instead). Kernel spans and
-    // pool batches the step spawns nest underneath it.
+    // appear as the probe span's resume_depth instead). The kernel spans
+    // the step opens nest underneath it.
     util::trace::Span step_span;
     if (util::trace::enabled()) {
       step_span.begin("step:" + step.name, "flow.step");

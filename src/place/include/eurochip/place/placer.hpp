@@ -1,8 +1,8 @@
-// Standard-cell placement: quadratic global placement (Jacobi sweeps over
-// the connectivity star/clique model) with bin-based spreading, Tetris
-// legalization onto rows, and greedy in-row detailed placement. I/O ports
-// are assigned fixed pad positions on the die boundary. All stages are
-// deterministic for a fixed seed.
+// Standard-cell placement: quadratic global placement (in-place
+// Gauss-Seidel sweeps over the connectivity star/clique model) with
+// bin-based spreading, Tetris legalization onto rows, and greedy in-row
+// detailed placement. I/O ports are assigned fixed pad positions on the
+// die boundary. All stages are deterministic for a fixed seed.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +18,7 @@ namespace eurochip::place {
 
 struct PlacementOptions {
   double target_utilization = 0.65;
-  int global_iterations = 60;     ///< Jacobi wirelength sweeps
+  int global_iterations = 60;     ///< Gauss-Seidel wirelength sweeps
   int spreading_rounds = 6;       ///< density-spreading interleaves
   int detailed_passes = 2;        ///< in-row swap passes
   bool random_only = false;       ///< skip global placement (ablation)

@@ -85,9 +85,10 @@ Connectivity build_connectivity(const PlacedDesign& d) {
   return conn;
 }
 
-/// Jacobi sweeps of the quadratic wirelength objective with periodic
-/// density spreading. Each sweep computes every cell's new position from
-/// the previous iteration's positions (double buffer).
+/// Gauss-Seidel sweeps of the quadratic wirelength objective with periodic
+/// density spreading. Each sweep moves every cell, in id order, to the
+/// weighted centre of its neighbours, reading the positions already moved
+/// earlier in the same sweep.
 void global_place(PlacedDesign& d, const PlacementOptions& opt,
                   util::Rng& rng, PlaceStats* stats) {
   const Netlist& nl = *d.netlist;
@@ -120,27 +121,18 @@ void global_place(PlacedDesign& d, const PlacementOptions& opt,
     total_w += weight[i];
   }
 
-  std::vector<double> nx(n);
-  std::vector<double> ny(n);
-
   for (int iter = 0; iter < opt.global_iterations; ++iter) {
     for (std::size_t i = 0; i < n; ++i) {
-      if (weight[i] == 0.0) {
-        nx[i] = x[i];
-        ny[i] = y[i];
-        continue;
-      }
+      if (weight[i] == 0.0) continue;
       double sx = fixed_sx[i];
       double sy = fixed_sy[i];
       for (std::uint32_t nb : conn.cell_neighbors[i]) {
         sx += x[nb];
         sy += y[nb];
       }
-      nx[i] = sx / weight[i];
-      ny[i] = sy / weight[i];
+      x[i] = sx / weight[i];
+      y[i] = sy / weight[i];
     }
-    x.swap(nx);
-    y.swap(ny);
     if (stats != nullptr) stats->runtime_proxy_ops += total_w;
 
     // Periodic density spreading on a coarse bin grid.

@@ -3,9 +3,8 @@
 // Multi-terminal nets are decomposed into two-pin segments along a Prim
 // spanning topology; segments route with history-based congestion costs and
 // rip-up-and-reroute until overflow converges (PathFinder-style). Segments
-// are routed in fixed-size batches: within a batch every A* search reads a
-// frozen congestion snapshot, and usage commits in segment order after the
-// batch.
+// route one at a time, short nets first: each A* search reads the live
+// congestion and commits its usage before the next search starts.
 #pragma once
 
 #include <cstdint>
@@ -71,11 +70,14 @@ struct RouteStats {
   std::int64_t edge_capacity = 0;
   std::size_t segments_routed = 0;
   std::size_t reroutes = 0;
+  int overflowed_edges = 0;  ///< edges above capacity when routing stopped
+  int ripup_iterations = 0;  ///< rip-up rounds run
 };
 
 /// Routes all multi-pin nets of a placed design. Fails with
 /// kResourceExhausted if overflow remains after max_ripup_iterations and
-/// the design is declared unroutable (overflow > 5% of edges).
+/// the design is declared unroutable (overflow > 5% of edges). `stats`
+/// carries the overflow and rip-up counts on success and on that failure.
 [[nodiscard]] util::Result<RoutedDesign> route(
     const place::PlacedDesign& placed, const pdk::TechnologyNode& node,
     const RouteOptions& options = {}, RouteStats* stats = nullptr);

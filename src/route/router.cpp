@@ -339,37 +339,26 @@ util::Result<RoutedDesign> route(const PlacedDesign& placed,
     }
   }
 
-  // Segments route in fixed batches of kBatch: every search in a batch
-  // reads the congestion committed before the batch, then the batch's
-  // usage commits in segment order.
+  // Each segment's search reads the live congestion, and its usage commits
+  // as soon as the search returns, so later segments route around it.
   AstarScratch scratch;
-  constexpr std::size_t kBatch = 64;
-  const auto route_batch = [&](const std::vector<SegRef>& list,
-                               std::size_t base, std::size_t end) {
-    for (std::size_t k = base; k < end; ++k) {
-      const SegRef r = list[k];
-      work[r.w].segments[r.s].path =
-          astar(grid, work[r.w].pins[r.s].first, work[r.w].pins[r.s].second,
-                options.congestion_aware, scratch);
-    }
-    for (std::size_t k = base; k < end; ++k) {
-      const SegRef r = list[k];
-      apply_usage(grid, work[r.w].segments[r.s], +1);
-    }
+  const auto route_segment = [&](SegRef r) {
+    const auto& [src, dst] = work[r.w].pins[r.s];
+    Segment& seg = work[r.w].segments[r.s];
+    seg.path = astar(grid, src, dst, options.congestion_aware, scratch);
+    apply_usage(grid, seg, +1);
   };
 
   // Initial routing.
   {
     EUROCHIP_TRACE_SPAN("route.initial", "kernel");
-    for (std::size_t base = 0; base < refs.size(); base += kBatch) {
-      route_batch(refs, base, std::min(refs.size(), base + kBatch));
-    }
+    for (const SegRef& r : refs) route_segment(r);
   }
   if (stats != nullptr) stats->segments_routed += refs.size();
 
   // Rip-up and reroute while overflow persists: collect the segments
   // crossing overflowed edges, rip them all up in order, then reroute them
-  // batch-by-batch against the updated congestion state.
+  // one by one in the same order.
   int iterations = 0;
   util::trace::Span ripup_span;
   if (util::trace::enabled()) ripup_span.begin("route.ripup", "kernel");
@@ -395,9 +384,7 @@ util::Result<RoutedDesign> route(const PlacedDesign& placed,
     for (const SegRef& r : redo) {
       apply_usage(grid, work[r.w].segments[r.s], -1);
     }
-    for (std::size_t base = 0; base < redo.size(); base += kBatch) {
-      route_batch(redo, base, std::min(redo.size(), base + kBatch));
-    }
+    for (const SegRef& r : redo) route_segment(r);
     if (stats != nullptr) stats->reroutes += redo.size();
   }
   if (ripup_span.active()) {
@@ -407,6 +394,10 @@ util::Result<RoutedDesign> route(const PlacedDesign& placed,
   out.iterations_used = iterations;
   out.overflowed_edges = grid.overflow_count();
   out.max_congestion = grid.max_utilization();
+  if (stats != nullptr) {
+    stats->overflowed_edges = out.overflowed_edges;
+    stats->ripup_iterations = iterations;
+  }
 
   // Collect per-net metrics and bend-compressed geometry (the endpoints
   // plus every direction change; colinear interior gcells are implied).

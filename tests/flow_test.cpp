@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <string>
@@ -240,6 +241,17 @@ util::Digest artifact_and_ppa_digest(const FlowResult& r) {
   return h.finalize();
 }
 
+/// The catalog presets: each effort level on its usual node.
+struct Preset {
+  const char* name;
+  FlowQuality quality;
+  const char* node;
+};
+constexpr Preset kPresets[] = {
+    {"open", FlowQuality::kOpen, "sky130ish"},
+    {"commercial", FlowQuality::kCommercial, "commercial28"},
+};
+
 struct GoldenDigest {
   const char* design;
   const char* preset;
@@ -251,50 +263,41 @@ struct GoldenDigest {
 // change that moves a single artifact bit or PPA figure fails here; edit
 // this table only in a change that means to alter artifacts.
 constexpr GoldenDigest kScale1Golden[] = {
-    {"counter", "open", 0x2e7f3dd28e300babULL, 0xcdb82f675fa01b72ULL},
-    {"adder", "open", 0x332f0d25b9a5c379ULL, 0x4d4efcd8f05ba32eULL},
-    {"alu", "open", 0x6e5e52f6dc568019ULL, 0x44e1583c1c0f3981ULL},
+    {"counter", "open", 0xd242068f0c98660cULL, 0x6c6a4b5e79124955ULL},
+    {"adder", "open", 0x43dbbf185984b482ULL, 0x6ccee24d71a3844fULL},
+    {"alu", "open", 0xbf6c9daaa5c0b13eULL, 0x2ae0edf5e6a41211ULL},
     {"gray", "open", 0x96715e0242c76248ULL, 0xabc7f6803d1c1461ULL},
-    {"fir", "open", 0xf7ad6f2e3cebf0aaULL, 0x8365347804571e27ULL},
-    {"lfsr", "open", 0x0361347ec8fcd1a6ULL, 0xf13178e754935f8aULL},
-    {"popcount", "open", 0x534e06b4f4be66a7ULL, 0xbf1d8f8271abd813ULL},
+    {"fir", "open", 0xa8a3a8d1db4bce1fULL, 0x2bbdbf374c53d36aULL},
+    {"lfsr", "open", 0x623a25285e7477afULL, 0xa0fcf70bc45cefd0ULL},
+    {"popcount", "open", 0x03b33e3c2df2233eULL, 0x5513198bf45dbfa1ULL},
     {"fsm", "open", 0xc7e36f84d68c5629ULL, 0xc26f204771685422ULL},
-    {"multiplier", "open", 0xafb36c69bf54cdecULL, 0x85f74aacd2a6c0f9ULL},
-    {"mini_cpu", "open", 0xf7a4c392aebb000dULL, 0x1958932ce230e169ULL},
-    {"shiftreg", "open", 0x7aabbc07715a343aULL, 0xd923311890dc5a74ULL},
-    {"prienc", "open", 0x4cdbbecc7f406b15ULL, 0x68be13dcb266aa4bULL},
-    {"crc8", "open", 0x12fa866126d68aa3ULL, 0x33188251491bc2a9ULL},
-    {"barrel", "open", 0x7508ac3ccae32580ULL, 0x581d47699809ab99ULL},
-    {"sorter4", "open", 0x2f7a5ab7ddbf373aULL, 0x167c152808b9eeb5ULL},
-    {"serializer", "open", 0xb9a21d095ec166e5ULL, 0xccdfcf27a7d2a9cfULL},
-    {"counter", "commercial", 0x7bf889b9eb59f6ecULL, 0x61e98a6766359c07ULL},
-    {"adder", "commercial", 0xbc7536da15b57533ULL, 0x9a2793d5505f9ac7ULL},
-    {"alu", "commercial", 0x021949690bcbfd62ULL, 0xba9936271c19ca3dULL},
-    {"gray", "commercial", 0x521bb8f40544a8abULL, 0x0dc688d9eb84b1b5ULL},
-    {"fir", "commercial", 0xe26deca76a6e9064ULL, 0xc162319df1aed843ULL},
-    {"lfsr", "commercial", 0xcca75652706dd890ULL, 0xa0a72f8ac45cc9d9ULL},
-    {"popcount", "commercial", 0x62ca0c71ee4ee5a7ULL, 0xcfe9a2193e97859fULL},
+    {"multiplier", "open", 0x434c2673d007b7d7ULL, 0x59714ce89ebc6085ULL},
+    {"mini_cpu", "open", 0xe574999872eff061ULL, 0x39a5c7ff976d11feULL},
+    {"shiftreg", "open", 0x42a256c82c28753eULL, 0x8149de2aa187a2ffULL},
+    {"prienc", "open", 0xc53d8440acf8c0b8ULL, 0xeaf4d686d2da485eULL},
+    {"crc8", "open", 0xd956f18f484a13c7ULL, 0x07ee5aec83d81b78ULL},
+    {"barrel", "open", 0x1210406f175148d0ULL, 0x0bf3ff9dbf3a133fULL},
+    {"sorter4", "open", 0x1ee5a7611b03b350ULL, 0x61fccbf23d1635b7ULL},
+    {"serializer", "open", 0x3f419aadad6163b1ULL, 0xe2e1a70187ff238cULL},
+    {"counter", "commercial", 0x8b429fe461249a42ULL, 0xcdef71c78a1ac96bULL},
+    {"adder", "commercial", 0xb1aa135a4c0f053fULL, 0x9e2451d5b176be49ULL},
+    {"alu", "commercial", 0x8481cc2551562191ULL, 0xbafff130cbf432cdULL},
+    {"gray", "commercial", 0x347451dc04568b77ULL, 0xd7deb970332bb398ULL},
+    {"fir", "commercial", 0x9d7698d20b312362ULL, 0x1efd9f0f8496a3d8ULL},
+    {"lfsr", "commercial", 0x54a9aef126ba430eULL, 0x692378837094a980ULL},
+    {"popcount", "commercial", 0x1cd27488b4c697aaULL, 0x42be8d58ecc91e80ULL},
     {"fsm", "commercial", 0x173724d35ee40482ULL, 0xe1555d94852a0a16ULL},
-    {"multiplier", "commercial", 0xe873c367f5085852ULL, 0x7f00a3d389940a44ULL},
-    {"mini_cpu", "commercial", 0xc174791d49de743fULL, 0x6d124504c16e6a6fULL},
-    {"shiftreg", "commercial", 0xfab23496db5fbee2ULL, 0x4df6577686a433a9ULL},
-    {"prienc", "commercial", 0x33b5bcc965aa82c3ULL, 0x70c63905193d1a3bULL},
-    {"crc8", "commercial", 0xd2bbe6cf1f6284c4ULL, 0x0a68423b44020369ULL},
-    {"barrel", "commercial", 0x59c0ee7eeb1fd0a7ULL, 0x0b5e4189555ed714ULL},
-    {"sorter4", "commercial", 0xb8f6ae1a783d8d59ULL, 0xb9d0a44f2fa86822ULL},
-    {"serializer", "commercial", 0xfafe48ba3bff1ab5ULL, 0x5d71e2337f7dbd89ULL},
+    {"multiplier", "commercial", 0x4a584809e396abefULL, 0x5d6bd8c9ad44d3fdULL},
+    {"mini_cpu", "commercial", 0xe50ac974dde94103ULL, 0xc1561c28756c28a3ULL},
+    {"shiftreg", "commercial", 0x408027b2aea97fc1ULL, 0x2aee2a483955acbbULL},
+    {"prienc", "commercial", 0xc68478058a3edc7aULL, 0x740b7aa0d8d81281ULL},
+    {"crc8", "commercial", 0x398b405fb8967ffaULL, 0xd776740ee2008ce9ULL},
+    {"barrel", "commercial", 0x3b6a20d1cb29b3bbULL, 0xadd7c99ed853dd00ULL},
+    {"sorter4", "commercial", 0xded499df476ed5b6ULL, 0x87660ed68b62ff17ULL},
+    {"serializer", "commercial", 0x3851ab9efb02fdbeULL, 0xb9e8a3be4fff08eaULL},
 };
 
 TEST(FlowGoldenTest, Scale1CatalogMatchesPinnedDigests) {
-  struct Preset {
-    const char* name;
-    FlowQuality quality;
-    const char* node;
-  };
-  constexpr Preset kPresets[] = {
-      {"open", FlowQuality::kOpen, "sky130ish"},
-      {"commercial", FlowQuality::kCommercial, "commercial28"},
-  };
   std::size_t checked = 0;
   for (const Preset& preset : kPresets) {
     FlowConfig cfg = open_config(preset.node);
@@ -318,6 +321,42 @@ TEST(FlowGoldenTest, Scale1CatalogMatchesPinnedDigests) {
     }
   }
   EXPECT_EQ(checked, std::size(kScale1Golden));
+}
+
+// --- routability -----------------------------------------------------------
+
+// A ratchet on the reference flow: every catalog config (16 designs x both
+// presets x scales 1, 2 and 4) runs once, and the configs whose flow fails
+// or ends with routing overflow or DRC violations must be exactly these.
+// A change that makes one of them legal removes it here; none may be added.
+TEST(FlowRoutabilityTest, IllegalCatalogConfigsAreExactlyTheKnownOnes) {
+  const std::vector<std::string> known_illegal = {
+      "commercial/s4/fir", "open/s2/mini_cpu", "open/s2/multiplier",
+      "open/s4/fir",       "open/s4/mini_cpu", "open/s4/multiplier",
+      "open/s4/sorter4",
+  };
+  std::vector<std::string> illegal;
+  std::size_t flows = 0;
+  for (const int scale : {1, 2, 4}) {
+    for (const Preset& preset : kPresets) {
+      FlowConfig cfg = open_config(preset.node);
+      cfg.quality = preset.quality;
+      for (const auto& entry : rtl::designs::standard_catalog(scale)) {
+        const auto r = run_reference_flow(entry.module, cfg);
+        ++flows;
+        const bool legal = r.ok() && r->artifacts.routed != nullptr &&
+                           r->artifacts.routed->overflowed_edges == 0 &&
+                           r->artifacts.drc.violations.empty();
+        if (!legal) {
+          illegal.push_back(std::string(preset.name) + "/s" +
+                            std::to_string(scale) + "/" + entry.name);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(flows, 96u);
+  std::sort(illegal.begin(), illegal.end());
+  EXPECT_EQ(illegal, known_illegal);
 }
 
 // --- concurrent flows ------------------------------------------------------

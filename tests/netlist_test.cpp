@@ -504,7 +504,8 @@ TEST(NetlistScaleTest, SerializeRoundTrip100kCells) {
   // A few rewires so the serialized sink order differs from the
   // pin-order reconstruction a naive codec would produce.
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(nl.rewire_input(CellId{next() % kCells}, 0, pick()).ok());
+    const CellId cell{static_cast<std::uint32_t>(next() % kCells)};
+    ASSERT_TRUE(nl.rewire_input(cell, 0, pick()).ok());
   }
   ASSERT_TRUE(nl.check().ok());
 

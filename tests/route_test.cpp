@@ -72,15 +72,31 @@ TEST(RouteTest, CongestionAwareReducesOverflow) {
   RouteOptions aware;
   aware.congestion_aware = true;
   aware.gcell_pitches = 15;
-  const auto r_naive = route(*p.placed, p.node, naive);
-  const auto r_aware = route(*p.placed, p.node, aware);
-  if (r_naive.ok() && r_aware.ok()) {
-    EXPECT_LE(r_aware->overflowed_edges, r_naive->overflowed_edges);
-  } else {
-    // The naive router may fail outright; congestion-aware must not fail
-    // if naive succeeded.
-    EXPECT_TRUE(r_aware.ok() || !r_naive.ok());
-  }
+  RouteStats naive_stats;
+  RouteStats aware_stats;
+  const auto r_naive = route(*p.placed, p.node, naive, &naive_stats);
+  const auto r_aware = route(*p.placed, p.node, aware, &aware_stats);
+  // The stats carry the overflow whether or not the route succeeds.
+  EXPECT_LT(aware_stats.overflowed_edges, naive_stats.overflowed_edges);
+  // The naive router may fail outright; congestion-aware must not fail if
+  // naive succeeded.
+  EXPECT_TRUE(r_aware.ok() || !r_naive.ok());
+}
+
+// M4's scarce-grid setup (bench_substrates BM_RouteOverflow_Ablation):
+// routing each segment against the congestion of every segment before it
+// leaves no overflowed edge.
+TEST(RouteTest, ScarceAlu24RoutesLegally) {
+  const Physical p = make_physical(rtl::designs::alu(24));
+  RouteOptions opt;
+  opt.gcell_pitches = 12;
+  opt.congestion_aware = true;
+  RouteStats stats;
+  const auto routed = route(*p.placed, p.node, opt, &stats);
+  ASSERT_TRUE(routed.ok()) << routed.status().to_string();
+  EXPECT_EQ(routed->overflowed_edges, 0);
+  EXPECT_EQ(stats.overflowed_edges, 0);
+  EXPECT_EQ(stats.ripup_iterations, routed->iterations_used);
 }
 
 TEST(RouteTest, DeterministicResult) {
