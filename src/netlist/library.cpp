@@ -75,38 +75,9 @@ std::uint16_t fn_truth_table(CellFn fn) {
     case CellFn::kNand3: return 0x7F;
     case CellFn::kOr3: return 0xFE;
     case CellFn::kNor3: return 0x01;
-    case CellFn::kAoi21: {
-      // inputs a,b,c: out = !((a & b) | c)
-      std::uint16_t t = 0;
-      for (unsigned i = 0; i < 8; ++i) {
-        const bool a = (i & 1u) != 0;
-        const bool b = (i & 2u) != 0;
-        const bool c = (i & 4u) != 0;
-        if (!((a && b) || c)) t |= static_cast<std::uint16_t>(1u << i);
-      }
-      return t;
-    }
-    case CellFn::kOai21: {
-      std::uint16_t t = 0;
-      for (unsigned i = 0; i < 8; ++i) {
-        const bool a = (i & 1u) != 0;
-        const bool b = (i & 2u) != 0;
-        const bool c = (i & 4u) != 0;
-        if (!((a || b) && c)) t |= static_cast<std::uint16_t>(1u << i);
-      }
-      return t;
-    }
-    case CellFn::kMux2: {
-      // inputs a,b,s: out = s ? b : a
-      std::uint16_t t = 0;
-      for (unsigned i = 0; i < 8; ++i) {
-        const bool a = (i & 1u) != 0;
-        const bool b = (i & 2u) != 0;
-        const bool s = (i & 4u) != 0;
-        if (s ? b : a) t |= static_cast<std::uint16_t>(1u << i);
-      }
-      return t;
-    }
+    case CellFn::kAoi21: return 0x07;  // inputs a,b,c: out = !((a & b) | c)
+    case CellFn::kOai21: return 0x1F;  // out = !((a | b) & c)
+    case CellFn::kMux2: return 0xCA;   // inputs a,b,s: out = s ? b : a
     case CellFn::kDff:
       break;
   }

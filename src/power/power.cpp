@@ -11,7 +11,8 @@ namespace eurochip::power {
 namespace {
 
 /// The activity simulation splits its cycle budget into this many
-/// independently seeded Monte-Carlo windows, each starting from reset.
+/// independently seeded Monte-Carlo windows, each starting from reset and
+/// each simulated as one lane of the same word-parallel passes.
 constexpr int kActivityWindows = 8;
 
 }  // namespace
@@ -26,23 +27,43 @@ util::Result<PowerReport> estimate(const netlist::Netlist& nl,
   netlist::IdMap<netlist::NetId, double> activity(nl.num_nets(),
                                                   opt.default_activity);
   if (opt.simulate_activity && opt.activity_cycles > 0) {
-    EUROCHIP_TRACE_SPAN("power.activity", "kernel");
+    util::trace::Span span;
+    if (util::trace::enabled()) span.begin("power.activity", "kernel");
     auto sim = netlist::Simulator::create(nl);
     if (!sim.ok()) return sim.status();
-    // Window seeds come from one draw each on the base generator. The
-    // simulator's toggle counts accumulate across windows.
+    // Window w is lane w of one word-parallel simulation from reset. Its
+    // seed is one draw on the base generator, and it draws its inputs from
+    // its own generator, so each lane sees the stimulus it would see
+    // simulated alone. Lane w is active for its first cycles[w] passes.
     util::Rng base(opt.seed);
-    std::vector<bool> in(sim->num_inputs());
+    std::vector<util::Rng> rngs;
+    std::vector<int> cycles;
     for (int w = 0; w < kActivityWindows; ++w) {
-      util::Rng rng(base.next());
-      const int cycles = opt.activity_cycles / kActivityWindows +
-                         (w < opt.activity_cycles % kActivityWindows ? 1 : 0);
-      if (cycles == 0) continue;
-      sim->reset();
-      for (int c = 0; c < cycles; ++c) {
-        for (std::size_t i = 0; i < in.size(); ++i) in[i] = rng.chance(0.5);
-        (void)sim->step(in);
+      rngs.emplace_back(base.next());
+      cycles.push_back(opt.activity_cycles / kActivityWindows +
+                       (w < opt.activity_cycles % kActivityWindows ? 1 : 0));
+    }
+    sim->reset();
+    std::vector<std::uint64_t> in(sim->num_inputs());
+    const int passes = cycles.front();  // window 0 is the longest
+    for (int c = 0; c < passes; ++c) {
+      std::uint64_t active = 0;
+      std::fill(in.begin(), in.end(), 0);
+      for (int w = 0; w < kActivityWindows; ++w) {
+        if (c >= cycles[w]) continue;
+        const std::uint64_t lane = std::uint64_t{1} << w;
+        active |= lane;
+        for (std::uint64_t& word : in) {
+          if (rngs[w].chance(0.5)) word |= lane;
+        }
       }
+      sim->step_lanes(in, active);
+    }
+    if (span.active()) {
+      span.annotate("lane_steps", static_cast<std::uint64_t>(passes));
+      span.annotate("cell_evals", static_cast<std::uint64_t>(passes) *
+                                      (nl.num_cells() -
+                                       nl.sequential_cells().size()));
     }
     const std::vector<std::uint64_t>& toggles = sim->toggle_counts();
     for (std::size_t i = 0; i < toggles.size(); ++i) {

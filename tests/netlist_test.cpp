@@ -7,6 +7,11 @@
 #include "eurochip/netlist/simulator.hpp"
 #include "eurochip/pdk/library_gen.hpp"
 #include "eurochip/pdk/registry.hpp"
+#include "eurochip/rtl/designs.hpp"
+#include "eurochip/synth/elaborate.hpp"
+#include "eurochip/synth/mapper.hpp"
+#include "eurochip/synth/opt.hpp"
+#include "eurochip/util/rng.hpp"
 #include "eurochip/util/wire.hpp"
 
 namespace eurochip::netlist {
@@ -266,6 +271,168 @@ TEST_F(NetlistFixture, SimulatorCountsToggles) {
   const auto& t = sim->toggle_counts();
   EXPECT_EQ(t[a.value], 2u);
   EXPECT_EQ(sim->eval_count(), 3u);
+}
+
+TEST_F(NetlistFixture, SimulatorLanesMatchTruthTables) {
+  // Lane l sees input assignment l (pin 0 is bit 0 of l), so the output's
+  // low 2^n lanes spell out the library's truth table.
+  const std::uint64_t kPins[] = {0xAA, 0xCC, 0xF0};
+  for (CellFn fn :
+       {CellFn::kTie0, CellFn::kTie1, CellFn::kBuf, CellFn::kInv,
+        CellFn::kAnd2, CellFn::kNand2, CellFn::kOr2, CellFn::kNor2,
+        CellFn::kXor2, CellFn::kXnor2, CellFn::kAnd3, CellFn::kNand3,
+        CellFn::kOr3, CellFn::kNor3, CellFn::kAoi21, CellFn::kOai21,
+        CellFn::kMux2}) {
+    const auto cell = lib_.smallest_for(fn);
+    ASSERT_TRUE(cell.has_value()) << to_string(fn);
+    Netlist nl(&lib_, to_string(fn));
+    const int n = fn_num_inputs(fn);
+    std::vector<NetId> fanin;
+    for (int k = 0; k < n; ++k) {
+      fanin.push_back(nl.add_input("i" + std::to_string(k)));
+    }
+    const auto g =
+        nl.add_cell("g", static_cast<std::uint32_t>(*cell), fanin);
+    ASSERT_TRUE(g.ok()) << to_string(fn);
+    const NetId y = nl.cell(g.value()).output;
+    nl.add_output("y", y);
+    auto sim = Simulator::create(nl);
+    ASSERT_TRUE(sim.ok()) << to_string(fn);
+    sim->reset();
+    sim->step_lanes(std::span<const std::uint64_t>(kPins, fanin.size()),
+                    0xFF);
+    const std::uint64_t rows = std::uint64_t{1} << (1 << n);
+    EXPECT_EQ(sim->net_lanes(y) & (rows - 1), fn_truth_table(fn))
+        << to_string(fn);
+  }
+}
+
+TEST_F(NetlistFixture, SimulatorLanesMatchScalarRuns) {
+  // 64 seeded stimulus streams on a mapped sequential design: one 64-lane
+  // run must equal 64 scalar runs lane by lane, net by net, and in the
+  // summed toggle counts.
+  const rtl::Module m = rtl::designs::mini_cpu_datapath(8);
+  auto mapped =
+      synth::map_to_library(synth::optimize(*synth::elaborate(m), 2), lib_);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().to_string();
+  const Netlist& nl = *mapped;
+  ASSERT_FALSE(nl.sequential_cells().empty());
+  constexpr int kLanes = 64;
+  constexpr int kCycles = 24;
+
+  auto lanes = Simulator::create(nl);
+  ASSERT_TRUE(lanes.ok());
+  lanes->reset();
+  std::vector<Simulator> scalars;
+  std::vector<util::Rng> rngs;
+  for (int l = 0; l < kLanes; ++l) {
+    scalars.push_back(Simulator::create(nl).value());
+    scalars.back().reset();
+    rngs.emplace_back(1000 + static_cast<std::uint64_t>(l));
+  }
+  const std::vector<NetId> nets = nl.all_nets();
+  std::vector<std::uint64_t> words(lanes->num_inputs());
+  std::vector<bool> bits(lanes->num_inputs());
+  for (int c = 0; c < kCycles; ++c) {
+    std::fill(words.begin(), words.end(), 0);
+    std::vector<std::vector<bool>> outs;
+    for (int l = 0; l < kLanes; ++l) {
+      for (std::size_t i = 0; i < bits.size(); ++i) {
+        bits[i] = rngs[l].chance(0.5);
+        if (bits[i]) words[i] |= std::uint64_t{1} << l;
+      }
+      outs.push_back(scalars[l].step(bits));
+    }
+    lanes->step_lanes(words, ~std::uint64_t{0});
+    for (int l = 0; l < kLanes; ++l) {
+      for (std::size_t o = 0; o < nl.outputs().size(); ++o) {
+        const bool got = (lanes->net_lanes(nl.outputs()[o].net) >> l & 1) != 0;
+        ASSERT_EQ(got, outs[l][o]) << "cycle " << c << " lane " << l;
+      }
+      for (NetId id : nets) {
+        const bool got = (lanes->net_lanes(id) >> l & 1) != 0;
+        ASSERT_EQ(got, scalars[l].net_value(id))
+            << "cycle " << c << " lane " << l << " net " << id.value;
+      }
+    }
+  }
+  std::vector<std::uint64_t> summed(nl.num_nets(), 0);
+  for (const Simulator& s : scalars) {
+    for (std::size_t i = 0; i < summed.size(); ++i) {
+      summed[i] += s.toggle_counts()[i];
+    }
+  }
+  EXPECT_EQ(lanes->toggle_counts(), summed);
+  EXPECT_EQ(lanes->eval_count(), static_cast<std::uint64_t>(kCycles));
+}
+
+TEST_F(NetlistFixture, SimulatorInactiveAndLateLanes) {
+  // A DFF fed by its own inverse: q flips on every clock of its lane.
+  const NetId seed = nl_.add_const(false, "seed");
+  const auto dff = nl_.add_cell("ff", idx("DFF_X1"), {seed});
+  const NetId q = nl_.cell(dff.value()).output;
+  const auto inv = nl_.add_cell("nv", idx("INV_X1"), {q});
+  const NetId nq = nl_.cell(inv.value()).output;
+  ASSERT_TRUE(nl_.rewire_input(dff.value(), 0, nq).ok());
+  nl_.add_output("q", q);
+  auto sim = Simulator::create(nl_);
+  ASSERT_TRUE(sim.ok());
+  sim->reset();
+  constexpr std::uint64_t kEarly = 1;
+  constexpr std::uint64_t kLate = std::uint64_t{1} << 63;
+  const auto toggles = [&](NetId n) { return sim->toggle_counts()[n.value]; };
+
+  // Fresh lane 0: its first evaluation counts nothing.
+  sim->step_lanes({}, kEarly);
+  EXPECT_EQ(sim->net_lanes(q), 0u);
+  EXPECT_EQ(sim->net_lanes(nq), kEarly);
+  EXPECT_EQ(toggles(q) + toggles(nq), 0u);
+  sim->step_lanes({}, kEarly);
+  EXPECT_EQ(sim->net_lanes(q), kEarly);
+  EXPECT_EQ(toggles(q), 1u);
+  EXPECT_EQ(toggles(nq), 1u);
+
+  // Lane 63 starts late: its first evaluation changes nq from 0 to 1 but
+  // counts nothing; lane 0 counts its flips as usual.
+  sim->step_lanes({}, kEarly | kLate);
+  EXPECT_EQ(sim->net_lanes(q), 0u);
+  EXPECT_EQ(sim->net_lanes(nq), kEarly | kLate);
+  EXPECT_EQ(toggles(q), 2u);
+  EXPECT_EQ(toggles(nq), 2u);
+
+  // Lane 63 idles: its nets and its DFF state (now 1) hold, and it counts
+  // nothing, while lane 0 flips again.
+  sim->step_lanes({}, kEarly);
+  EXPECT_EQ(sim->net_lanes(q), kEarly);
+  EXPECT_EQ(sim->net_lanes(nq), kLate);
+  EXPECT_EQ(toggles(q), 3u);
+  EXPECT_EQ(toggles(nq), 3u);
+  sim->step_lanes({}, 0);
+  EXPECT_EQ(sim->net_lanes(q), kEarly);
+  EXPECT_EQ(toggles(q), 3u);
+
+  // Lane 63 resumes from its held state: q reads 1, one flip per net.
+  sim->step_lanes({}, kLate);
+  EXPECT_EQ(sim->net_lanes(q), kEarly | kLate);
+  EXPECT_EQ(sim->net_lanes(nq), 0u);
+  EXPECT_EQ(toggles(q), 4u);
+  EXPECT_EQ(toggles(nq), 4u);
+
+  sim->step_lanes({}, kLate);
+  EXPECT_EQ(sim->net_lanes(nq), kLate);
+  EXPECT_EQ(toggles(q), 5u);
+
+  // reset() zeroes every lane's state and makes every lane fresh again. A
+  // lane idle after the reset keeps the reset state, not the D value still
+  // on its nets (lane 63's nq reads 1).
+  sim->reset();
+  sim->step_lanes({}, kEarly);
+  sim->step_lanes({}, kLate);
+  EXPECT_EQ(sim->net_lanes(q), 0u);
+  EXPECT_EQ(sim->net_lanes(nq), kEarly | kLate);
+  EXPECT_EQ(toggles(q), 5u);
+  EXPECT_EQ(toggles(nq), 5u);
+  EXPECT_EQ(sim->eval_count(), 9u);
 }
 
 TEST_F(NetlistFixture, CheckCatchesDanglingInput) {
