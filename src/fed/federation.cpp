@@ -64,8 +64,8 @@ void FederatedService::build_hub_locked(std::size_t i, std::uint64_t epoch) {
   hopts.cache = caches_[i].get();
   hopts.epoch = epoch;
   if (started_) hopts.start_paused = false;
-  hopts.on_terminal = [this, i](const hub::JobRecord& record) {
-    on_hub_terminal(i, record);
+  hopts.on_terminal = [this, i](std::shared_ptr<const hub::JobRecord> record) {
+    on_hub_terminal(i, std::move(record));
   };
   hubs_[i] = std::make_shared<hub::JobServer>(std::move(hopts));
 }
@@ -147,9 +147,8 @@ util::Result<FedJobId> FederatedService::submit(hub::JobSpec spec) {
   // back to the member.
   //
   // mu_ is held across hub placement so the book's local-id mapping is
-  // atomic w.r.t. the rebalancer: a steal landing between the hub
-  // accepting the job and register_local_locked would miss in reverse_
-  // and misread a federation job as untracked (fed -> hub is the
+  // atomic w.r.t. the hub's terminal callback and the rebalancer: neither
+  // can see the local id before reverse_ maps it (fed -> hub is the
   // sanctioned lock order, and JobServer::submit never fires on_terminal
   // synchronously, so this cannot deadlock).
   std::lock_guard<std::mutex> lock(mu_);
@@ -168,37 +167,19 @@ util::Result<FedJobId> FederatedService::submit(hub::JobSpec spec) {
   }
   if (rerouted) ++stats_.rerouted;
   const FedJobId id = next_id_++;
-  JobRef ref;
+  JobRef& ref = jobs_.try_emplace(id).first->second;
   ref.hub = home;
   ref.local_id = *local;
   ref.charged_commercial = charged;
   ref.spec = std::move(spec);
   ref.submit_ms = clock_->now_ms();
   ++stats_.submitted;
-  auto [it, inserted] = jobs_.emplace(id, std::move(ref));
-  (void)inserted;
-  register_local_locked(home, *local, id, it->second);
+  reverse_[home][*local] = id;
   return id;
 }
 
-void FederatedService::register_local_locked(std::size_t hub_index,
-                                             hub::JobId local_id, FedJobId id,
-                                             JobRef& ref) {
-  // The hub may have finished the job before we got here (the
-  // notify/register race): its terminal callback parked a note in
-  // early_terminals_ because the reverse mapping did not exist yet.
-  const auto early = early_terminals_.find({hub_index, local_id});
-  if (early != early_terminals_.end()) {
-    ref.final_record = early->second;
-    early_terminals_.erase(early);
-    settle_locked(ref);
-    return;
-  }
-  reverse_[hub_index][local_id] = id;
-}
-
-void FederatedService::on_hub_terminal(std::size_t hub_index,
-                                       const hub::JobRecord& record) {
+void FederatedService::on_hub_terminal(
+    std::size_t hub_index, std::shared_ptr<const hub::JobRecord> record) {
   std::lock_guard<std::mutex> lock(mu_);
   // Fencing, outermost first. (1) A crashing hub's shutdown fires a
   // cancel storm for everything it still held; those terminals describe
@@ -213,28 +194,27 @@ void FederatedService::on_hub_terminal(std::size_t hub_index,
     return;
   }
   if (hub_index < hub_epochs_.size() &&
-      record.hub_epoch != hub_epochs_[hub_index]) {
+      record->hub_epoch != hub_epochs_[hub_index]) {
     ++stats_.stale_terminals_dropped;
     return;
   }
-  const auto fit = fenced_.find({hub_index, record.id});
+  const auto fit = fenced_.find({hub_index, record->id});
   if (fit != fenced_.end()) {
     fenced_.erase(fit);
     ++stats_.stale_terminals_dropped;
     return;
   }
+  // Every federation placement maps its local id under mu_ before the hub
+  // can finish the job, so an unmapped terminal belongs to a job that was
+  // submitted to the hub directly: not ours to settle.
   auto& rmap = reverse_[hub_index];
-  const auto rit = rmap.find(record.id);
-  if (rit == rmap.end()) {
-    early_terminals_.emplace(std::make_pair(hub_index, record.id),
-                             std::make_shared<hub::JobRecord>(record));
-    return;
-  }
+  const auto rit = rmap.find(record->id);
+  if (rit == rmap.end()) return;
   const FedJobId id = rit->second;
   rmap.erase(rit);
   const auto jit = jobs_.find(id);
   if (jit != jobs_.end()) {
-    jit->second.final_record = std::make_shared<hub::JobRecord>(record);
+    jit->second.final_record = std::move(record);
     settle_locked(jit->second);
   }
 }
@@ -255,21 +235,31 @@ void FederatedService::settle_locked(JobRef& ref) {
   // resubmits a settled job); drop it to release the captured design.
   ref.spec.work = nullptr;
   ++stats_.completed;
-  // Waiters holding the hub's terminal record block until the settlement
-  // is visible (see wait_for).
-  cv_moved_.notify_all();
+  ref.settled_cv.notify_all();
 }
 
-void FederatedService::merge_fed_story_locked(hub::JobRecord& out,
-                                              const JobRef& ref) {
-  out.failovers = ref.failovers;
-  if (!ref.fed_flight.empty()) {
-    // Federation entries precede the final hub's own timeline (their t_ms
-    // is measured from the federation submission; the hub's entries
-    // restart at its local submit).
-    out.flight.insert(out.flight.begin(), ref.fed_flight.begin(),
-                      ref.fed_flight.end());
-  }
+FederatedService::Settlement FederatedService::settlement_locked(
+    const JobRef& ref) {
+  Settlement s;
+  s.record = ref.orphan != nullptr ? ref.orphan : ref.final_record;
+  // An orphan record already counts the prior wait (it was authored from
+  // it); a hub's record counts only the wait on its own queue.
+  s.prior_wait_ms = ref.orphan != nullptr ? 0.0 : ref.prior_wait_ms;
+  s.failovers = ref.failovers;
+  s.fed_flight = ref.fed_flight;
+  return s;
+}
+
+hub::JobRecord FederatedService::merged_record(const Settlement& s) {
+  hub::JobRecord out = *s.record;
+  out.queue_wait_ms += s.prior_wait_ms;
+  out.failovers = s.failovers;
+  // Federation entries precede the final hub's own timeline (their t_ms
+  // is measured from the federation submission; the hub's entries
+  // restart at its local submit).
+  out.flight.insert(out.flight.begin(), s.fed_flight.begin(),
+                    s.fed_flight.end());
+  return out;
 }
 
 util::Result<hub::JobRecord> FederatedService::wait(FedJobId id) {
@@ -278,128 +268,34 @@ util::Result<hub::JobRecord> FederatedService::wait(FedJobId id) {
 
 util::Result<hub::JobRecord> FederatedService::wait_for(FedJobId id,
                                                         double timeout_ms) {
-  const double t0 = steady_ms();
-  const auto remaining = [&]() -> double {
-    return timeout_ms < 0.0 ? -1.0 : timeout_ms - (steady_ms() - t0);
-  };
-  const auto timed_out = [&](const char* where) {
-    return util::Status::DeadlineExceeded(
-        "federation job " + std::to_string(id) + " not terminal after " +
-        std::to_string(timeout_ms) + " ms (" + where + ")");
-  };
-  for (;;) {
-    std::size_t home = 0;
-    hub::JobId local = 0;
-    std::uint64_t generation = 0;
-    bool recovery_pending = false;
-    std::shared_ptr<hub::JobServer> hub_sp;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      const auto it = jobs_.find(id);
-      if (it == jobs_.end()) {
-        return util::Status::NotFound("unknown federation job " +
-                                      std::to_string(id));
-      }
-      JobRef& ref = it->second;
-      if (ref.orphan) {
-        hub::JobRecord out = *ref.orphan;
-        merge_fed_story_locked(out, ref);
-        return out;
-      }
-      // Serve settled jobs from the federation's own book: the hub that
-      // ran the job may have crashed and been rebuilt since, taking its
-      // record memory with it.
-      if (ref.settled && ref.final_record) {
-        hub::JobRecord out = *ref.final_record;
-        out.queue_wait_ms += ref.prior_wait_ms;
-        merge_fed_story_locked(out, ref);
-        return out;
-      }
-      home = ref.hub;
-      local = ref.local_id;
-      generation = ref.generation;
-      // A crashed or fenced home cannot finish the job any more and its
-      // settle will never arrive; block until failover re-homes it
-      // instead of waiting on a corpse.
-      recovery_pending = !ref.settled &&
-                         (crashed_[home] || fenced_.count({home, local}) > 0);
-      hub_sp = hubs_[home];
-    }
-
-    if (!recovery_pending) {
-      const double rem = remaining();
-      if (timeout_ms >= 0.0 && rem <= 0.0) return timed_out("hub wait");
-      auto record = hub_sp->wait_for(local, rem);
-      if (!record.ok()) {
-        if (record.status().code() == util::ErrorCode::kDeadlineExceeded) {
-          return timed_out("hub wait");
-        }
-        return record.status();
-      }
-      std::unique_lock<std::mutex> lock(mu_);
-      const auto it = jobs_.find(id);
-      if (it == jobs_.end()) return *record;
-      JobRef& ref = it->second;
-      if (ref.orphan) {
-        hub::JobRecord out = *ref.orphan;
-        merge_fed_story_locked(out, ref);
-        return out;
-      }
-      if (ref.generation == generation &&
-          record->state != hub::JobState::kMigrated && ref.settled) {
-        hub::JobRecord out = std::move(*record);
-        out.queue_wait_ms += ref.prior_wait_ms;
-        merge_fed_story_locked(out, ref);
-        return out;
-      }
-      // The hub notifies its waiters before its terminal callback settles
-      // the job here, and a re-homed job never settles under this mapping:
-      // block until it is settled or moved, then serve it from the book or
-      // follow it, so a caller never sees a record the federation has not
-      // counted.
-      if (ref.generation != generation) continue;
-      const auto moved = [&] {
-        const auto jit = jobs_.find(id);
-        return jit == jobs_.end() || jit->second.generation != generation ||
-               jit->second.orphan != nullptr || jit->second.settled;
-      };
-      if (timeout_ms < 0.0) {
-        cv_moved_.wait(lock, moved);
-      } else {
-        const double rem2 = remaining();
-        if (rem2 <= 0.0 ||
-            !cv_moved_.wait_for(
-                lock,
-                std::chrono::duration_cast<
-                    std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double, std::milli>(rem2)),
-                moved)) {
-          return timed_out("re-home wait");
-        }
-      }
-      continue;
-    }
-
+  Settlement settlement;
+  {
     std::unique_lock<std::mutex> lock(mu_);
-    const auto moved = [&] {
-      const auto jit = jobs_.find(id);
-      return jit == jobs_.end() || jit->second.generation != generation ||
-             jit->second.orphan != nullptr;
-    };
-    if (timeout_ms < 0.0) {
-      cv_moved_.wait(lock, moved);
-    } else {
-      const double rem = remaining();
-      if (rem <= 0.0 ||
-          !cv_moved_.wait_for(
-              lock,
-              std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double, std::milli>(rem)),
-              moved)) {
-        return timed_out("failover wait");
-      }
+    const auto it = jobs_.find(id);
+    if (it == jobs_.end()) {
+      return util::Status::NotFound("unknown federation job " +
+                                    std::to_string(id));
     }
+    // The book is the only place to wait: settlement happens exactly once
+    // per job, after every steal, failover and fence has run its course,
+    // and JobRef nodes are never erased, so `ref` stays valid.
+    JobRef& ref = it->second;
+    const auto settled = [&ref] { return ref.settled; };
+    if (timeout_ms < 0.0) {
+      ref.settled_cv.wait(lock, settled);
+    } else if (!ref.settled_cv.wait_for(
+                   lock,
+                   std::chrono::duration_cast<
+                       std::chrono::steady_clock::duration>(
+                       std::chrono::duration<double, std::milli>(timeout_ms)),
+                   settled)) {
+      return util::Status::DeadlineExceeded(
+          "federation job " + std::to_string(id) + " not settled after " +
+          std::to_string(timeout_ms) + " ms");
+    }
+    settlement = settlement_locked(ref);
   }
+  return merged_record(settlement);
 }
 
 bool FederatedService::cancel(FedJobId id) {
@@ -467,9 +363,7 @@ bool FederatedService::wait_parked(FedJobId id, double timeout_ms) {
     if (bp->wait_parked(slice)) return true;
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = jobs_.find(id);
-    if (it == jobs_.end() || it->second.settled || it->second.orphan) {
-      return bp->parked();
-    }
+    if (it == jobs_.end() || it->second.settled) return bp->parked();
   }
 }
 
@@ -503,20 +397,16 @@ util::Result<dbg::QueryResult> FederatedService::query(FedJobId id,
                                       std::to_string(id));
       }
       JobRef& ref = it->second;
-      // Settled or orphaned: serve the flight record from the federation's
-      // book with the cross-hub story merged in. (Artifact queries fall
-      // through to the last home hub — its cache may still answer.)
-      const std::shared_ptr<hub::JobRecord> rec =
-          ref.orphan != nullptr ? ref.orphan
-                                : (ref.settled ? ref.final_record : nullptr);
-      if (rec != nullptr && q.kind == dbg::QueryKind::kFlight) {
-        hub::JobRecord out = *rec;
-        out.queue_wait_ms += ref.prior_wait_ms;
-        merge_fed_story_locked(out, ref);
+      // Settled (orphans included): serve the flight record from the
+      // federation's book with the cross-hub story merged in. (Artifact
+      // queries fall through to the last home hub — its cache may still
+      // answer.)
+      if (ref.settled && q.kind == dbg::QueryKind::kFlight) {
         dbg::QueryResult r;
         r.kind = q.kind;
         r.found = true;
-        r.text = hub::render_flight_record(out);
+        r.text = hub::render_flight_record(
+            merged_record(settlement_locked(ref)));
         return r;
       }
       if (ref.orphan != nullptr) {
@@ -603,24 +493,19 @@ std::size_t FederatedService::rebalance_once() {
 
 bool FederatedService::place_stolen(std::size_t donor, std::size_t target,
                                     hub::JobServer::StolenJob job) {
-  FedJobId id = 0;
-  bool tracked = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto& rmap = reverse_[donor];
-    const auto rit = rmap.find(job.id);
-    if (rit != rmap.end()) {
-      tracked = true;
-      id = rit->second;
-      rmap.erase(rit);
-    }
-  }
-  if (!tracked) {
+  // mu_ is held across the placement, as in submit(): the new local id is
+  // mapped before its hub can report the job terminal.
+  std::unique_lock<std::mutex> lock(mu_);
+  auto& rmap = reverse_[donor];
+  const auto rit = rmap.find(job.id);
+  if (rit == rmap.end()) {
     // Not a federation job (submitted directly to the hub). Hand it back
     // to the donor so we never lose work we do not track.
-    (void)hub_ptr(donor)->submit(std::move(job.spec));
+    (void)hubs_[donor]->submit(std::move(job.spec));
     return false;
   }
+  const FedJobId id = rit->second;
+  rmap.erase(rit);
 
   hub::JobSpec forward = job.spec;  // job.spec kept intact for the fallback
   bool deadline_spent = false;
@@ -640,30 +525,25 @@ bool FederatedService::place_stolen(std::size_t donor, std::size_t target,
   std::size_t home = target;
   bool landed = false;
   if (!deadline_spent) {
-    placed = hub_ptr(target)->submit(forward);
+    placed = hubs_[target]->submit(forward);
     landed = placed.ok();
     if (!landed) {
       // Recipient refused (queue bound, breaker, gate) — return the job
       // to the donor under its original spec; if the donor died in the
       // meantime, any survivor will do before we orphan tracked work.
-      placed = hub_ptr(donor)->submit(job.spec);
+      placed = hubs_[donor]->submit(job.spec);
       home = donor;
       if (!placed.ok() &&
           placed.status().code() == util::ErrorCode::kFailedPrecondition) {
         for (std::size_t a = 0; a < num_hubs_ && !placed.ok(); ++a) {
-          if (a == donor || a == target) continue;
-          auto h = hub_ptr(a);
-          std::unique_lock<std::mutex> lock(mu_);
-          if (crashed_[a]) continue;
-          lock.unlock();
-          placed = h->submit(job.spec);
+          if (a == donor || a == target || crashed_[a]) continue;
+          placed = hubs_[a]->submit(job.spec);
           home = a;
         }
       }
     }
   }
 
-  std::unique_lock<std::mutex> lock(mu_);
   const auto jit = jobs_.find(id);
   if (jit == jobs_.end()) return landed;
   JobRef& ref = jit->second;
@@ -696,24 +576,22 @@ bool FederatedService::place_stolen(std::size_t donor, std::size_t target,
                     std::to_string(static_cast<int>(job.waited_ms)) +
                     " ms queued"
               : "recipient refused; returned"});
-  register_local_locked(home, *placed, id, ref);
+  reverse_[home][*placed] = id;
   if (landed) {
     ++stats_.stolen;
   } else {
     ++stats_.steal_returned;
   }
-  cv_moved_.notify_all();
-  const bool reapply_cancel = ref.cancel_requested;
+  if (!ref.cancel_requested) return landed;
+  // A cancel raced the migration; apply it on the new home. mu_ must be
+  // released first: cancelling a queued job fires the hub's on_terminal
+  // callback synchronously on this thread, and that callback
+  // (on_hub_terminal) takes mu_ — holding it here self-deadlocks. If the
+  // job migrates again before this lands, the hub refuses (kMigrated is
+  // terminal) and the sticky flag re-applies on the next placement.
+  const std::shared_ptr<hub::JobServer> new_home = hubs_[home];
   lock.unlock();
-  if (reapply_cancel) {
-    // A cancel raced the migration; apply it on the new home. mu_ must be
-    // released first: cancelling a queued job fires the hub's on_terminal
-    // callback synchronously on this thread, and that callback
-    // (on_hub_terminal) takes mu_ — holding it here self-deadlocks. If the
-    // job migrates again before this lands, the hub refuses (kMigrated is
-    // terminal) and the sticky flag re-applies on the next placement.
-    (void)hub_ptr(home)->cancel(*placed);
-  }
+  (void)new_home->cancel(*placed);
   return landed;
 }
 
@@ -830,7 +708,6 @@ void FederatedService::declare_down(std::size_t i, double now_ms) {
     for (const FedJobId fid : to_move) {
       fail_over_locked(i, fid, now_ms, &reapply);
     }
-    cv_moved_.notify_all();
   }
   for (const auto& [h, local] : reapply) {
     // Sticky cancels re-applied outside mu_ (a queued-job cancel fires
@@ -907,7 +784,7 @@ void FederatedService::fail_over_locked(
        "home declared down; resubmitted (same seed, resumes from the "
        "deepest shared-cache prefix)"});
   ++stats_.failed_over;
-  register_local_locked(target, *placed, id, ref);
+  reverse_[target][*placed] = id;
   if (ref.cancel_requested && reapply != nullptr) {
     reapply->push_back({target, *placed});
   }
@@ -973,9 +850,6 @@ void FederatedService::restart_hub(std::size_t i) {
     for (auto it = fenced_.begin(); it != fenced_.end();) {
       it = it->first == i ? fenced_.erase(it) : std::next(it);
     }
-    for (auto it = early_terminals_.begin(); it != early_terminals_.end();) {
-      it = it->first.first == i ? early_terminals_.erase(it) : std::next(it);
-    }
     reverse_[i].clear();
     // Cold L1 (the crash lost it), warm shared L2: the rebuilt hub's first
     // jobs fast-forward through whatever prefixes the federation already
@@ -991,7 +865,6 @@ void FederatedService::restart_hub(std::size_t i) {
     for (const FedJobId fid : strays) {
       fail_over_locked(i, fid, now, &reapply);
     }
-    if (!strays.empty()) cv_moved_.notify_all();
   }
   for (const auto& [h, local] : reapply) {
     (void)hub_ptr(h)->cancel(local);  // sticky cancels, applied unlocked

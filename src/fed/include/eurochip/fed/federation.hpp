@@ -139,11 +139,13 @@ class FederatedService {
   /// submission re-routes to the next surviving hub (stats.rerouted).
   util::Result<FedJobId> submit(hub::JobSpec spec);
 
-  /// Blocks until the job is terminal SOMEWHERE (following migrations and
-  /// failovers); the returned record's queue_wait_ms includes time spent
-  /// queued on every hub that held the job, its failovers field counts
-  /// re-homings off dead hubs, and its flight record carries the
-  /// federation's steal/failover entries. Equivalent to wait_for(id, -1).
+  /// Blocks until the federation has settled the job — wherever it ran,
+  /// however often it was stolen or failed over — and returns the record
+  /// booked at settlement: its queue_wait_ms includes time spent queued on
+  /// every hub that held the job, its failovers field counts re-homings
+  /// off dead hubs, and its flight record carries the federation's
+  /// steal/failover entries. Never waits on a hub. Equivalent to
+  /// wait_for(id, -1).
   [[nodiscard]] util::Result<hub::JobRecord> wait(FedJobId id);
 
   /// Bounded wait: like wait() but gives up with kDeadlineExceeded after
@@ -175,11 +177,11 @@ class FederatedService {
   /// Releases the job from its breakpoint, wherever it is parked.
   bool resume(FedJobId id);
 
-  /// Routes a debug query to the job's current home hub, following
-  /// migrations and failovers like wait_for does. kFlight on a settled or
-  /// orphaned job is served from the federation's own book with the
-  /// steal/failover story merged in — a hub's record memory dies with its
-  /// incarnation, the federation's does not.
+  /// Routes a debug query to the job's current home hub, re-resolving the
+  /// home when a migration or failover races the query. kFlight on a
+  /// settled or orphaned job is served from the federation's own book with
+  /// the steal/failover story merged in — a hub's record memory dies with
+  /// its incarnation, the federation's does not.
   [[nodiscard]] util::Result<dbg::QueryResult> query(FedJobId id,
                                                      const dbg::Query& q);
 
@@ -260,11 +262,11 @@ class FederatedService {
     bool cancel_requested = false;
     /// Set when no hub holds the job any more (failed re-admission after a
     /// steal or failover): the federation-authored terminal record.
-    std::shared_ptr<hub::JobRecord> orphan;
-    /// The terminal record, booked at settlement. Hubs also keep records,
-    /// but a hub's memory dies with its incarnation (crash + restart_hub),
-    /// so a wait() arriving after a restart must be served from here.
-    std::shared_ptr<hub::JobRecord> final_record;
+    std::shared_ptr<const hub::JobRecord> orphan;
+    /// The hub's published terminal record, booked by pointer at
+    /// settlement (the hub never writes it again). It outlives the hub's
+    /// incarnation (crash + restart_hub), so wait() is served from here.
+    std::shared_ptr<const hub::JobRecord> final_record;
     /// Book-kept copy of the submission, exactly as admitted (post-quota
     /// degrade) — what failover resubmits verbatim. The work function is
     /// dropped at settlement to release captured artifacts.
@@ -274,22 +276,30 @@ class FederatedService {
     /// Federation-level flight entries (steal/failover), t_ms measured
     /// from the federation submission; merged into returned records.
     std::vector<hub::FlightEntry> fed_flight;
+    /// The job's waiters (wait_for) block here until `settled`.
+    std::condition_variable settled_cv;
   };
 
-  void on_hub_terminal(std::size_t hub_index, const hub::JobRecord& record);
-  /// Installs the (hub, local id) -> fed id mapping, or settles the job
-  /// immediately if its terminal notification already arrived (the
-  /// notify/register race). Caller holds mu_.
-  void register_local_locked(std::size_t hub_index, hub::JobId local_id,
-                             FedJobId id, JobRef& ref);
-  /// Releases the quota charge + counts completion; counts (and ignores)
-  /// duplicate attempts. Caller holds mu_.
+  /// A settled job as its waiters see it: the booked record plus the
+  /// federation's story, taken under mu_ so that the record itself —
+  /// immutable — is copied after unlocking.
+  struct Settlement {
+    std::shared_ptr<const hub::JobRecord> record;
+    double prior_wait_ms = 0.0;
+    int failovers = 0;
+    std::vector<hub::FlightEntry> fed_flight;
+  };
+
+  void on_hub_terminal(std::size_t hub_index,
+                       std::shared_ptr<const hub::JobRecord> record);
+  /// Releases the quota charge, counts completion and wakes the job's
+  /// waiters; counts (and ignores) duplicate attempts. Caller holds mu_.
   void settle_locked(JobRef& ref);
   void rebalancer_loop();
   void heartbeat_loop();
   /// Re-homes one stolen job onto `target` (falling back to the donor,
-  /// then any survivor, then an orphan record). Returns true if it landed
-  /// on `target`.
+  /// then any survivor, then an orphan record), holding mu_ across the
+  /// hub submits. Returns true if it landed on `target`.
   bool place_stolen(std::size_t donor, std::size_t target,
                     hub::JobServer::StolenJob job);
   /// RPC-analog liveness probe of hub `i`, gated by the chaos state and
@@ -311,9 +321,11 @@ class FederatedService {
   /// Builds the JobServer for hub `i` at `epoch`. Caller holds mu_ (or is
   /// the constructor).
   void build_hub_locked(std::size_t i, std::uint64_t epoch);
-  /// Stamps the federation's story (failovers, fed flight, prior wait)
-  /// onto an outgoing record. Caller holds mu_.
-  static void merge_fed_story_locked(hub::JobRecord& out, const JobRef& ref);
+  /// Takes a settled job's booked record and story. Caller holds mu_.
+  static Settlement settlement_locked(const JobRef& ref);
+  /// The record waiters get: a copy of the booked record with the
+  /// federation's story (prior wait, failovers, fed flight) merged in.
+  static hub::JobRecord merged_record(const Settlement& s);
 
   // Declaration order is destruction-order-critical: hub worker threads
   // call on_hub_terminal (locks mu_, touches the maps) until each hub is
@@ -326,16 +338,11 @@ class FederatedService {
   std::unique_ptr<HealthMonitor> monitor_;
 
   std::mutex mu_;
-  std::condition_variable cv_moved_;  ///< mapping changed (migration/orphan)
   std::map<FedJobId, JobRef> jobs_;
-  /// (hub, local id) -> fed id, one map per hub.
+  /// (hub, local id) -> fed id, one map per hub. Installed under mu_ in
+  /// the same critical section as the hub submit that minted the local
+  /// id, so a terminal never arrives before its mapping.
   std::vector<std::unordered_map<hub::JobId, FedJobId>> reverse_;
-  /// Terminal notifications that arrived before submit() registered the
-  /// mapping (the notify/submit race), keyed (hub, local id) and carrying
-  /// the record; consumed (and the job settled) on registration.
-  std::map<std::pair<std::size_t, hub::JobId>,
-           std::shared_ptr<hub::JobRecord>>
-      early_terminals_;
   /// Fencing tombstones: (hub, local id) of jobs re-homed off a hub that
   /// was declared down while their original copies may still run there.
   /// A terminal arriving for a fenced pair is dropped, not settled.

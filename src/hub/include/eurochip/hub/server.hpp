@@ -117,13 +117,14 @@ class JobServer {
     int breaker_threshold = 0;
     /// How long an open breaker rejects before letting one probe through.
     double breaker_cooldown_ms = 1000.0;
-    /// Invoked (outside the server lock, with a copy of the record) every
-    /// time a job reaches a terminal state — except kMigrated, whose
-    /// lifecycle continues on another server. A federation uses this to
-    /// release global quota charges without polling. Must not call back
+    /// Invoked (outside the server lock) every time a job reaches a
+    /// terminal state — except kMigrated, whose lifecycle continues on
+    /// another server — with the job's published record: the server's own
+    /// record object, shared, never written again. A federation books it
+    /// to settle the job without polling or copying. Must not call back
     /// into this server synchronously with blocking intent (submit/cancel
     /// are fine; wait would deadlock the worker).
-    std::function<void(const JobRecord&)> on_terminal;
+    std::function<void(std::shared_ptr<const JobRecord>)> on_terminal;
     /// Incarnation number stamped into every JobRecord::hub_epoch. A
     /// federation bumps it each time it rebuilds a crashed hub, and drops
     /// terminal records carrying a stale epoch (zombie fencing). 0 is a
@@ -261,7 +262,9 @@ class JobServer {
  private:
   struct Entry {
     JobSpec spec;
-    JobRecord record;
+    /// Written under mu_ until the job is terminal; immutable after, when
+    /// it is published through on_terminal and handed out by pointer.
+    std::shared_ptr<JobRecord> record = std::make_shared<JobRecord>();
     util::CancelSource cancel;
   };
 
@@ -278,10 +281,11 @@ class JobServer {
 
   void worker_loop(int index);
   double now_ms() const;
-  /// Finalizes under lock; records metrics after unlocking is the
-  /// caller's job (metrics_ has its own lock, but we keep update sites
-  /// consistent by calling with mu_ held — no other lock is taken).
-  void finalize_locked(Entry& entry, JobState state, util::Status status);
+  /// Finalizes under lock (metrics too: metrics_ has its own lock and no
+  /// other lock is taken), drops the spec's work function with whatever
+  /// its closure captured, and returns the record, immutable from here on.
+  std::shared_ptr<const JobRecord> finalize_locked(Entry& entry, JobState state,
+                                                   util::Status status);
   void run_job(const std::shared_ptr<Entry>& entry);
   static std::string breaker_key(const JobSpec& spec);
   /// Feeds a terminal outcome into the breaker for the job's key.
@@ -293,12 +297,13 @@ class JobServer {
   void sync_cache_metrics_locked();
   /// Fires Options::on_terminal for a non-migrated terminal record. Must
   /// be called WITHOUT mu_ held.
-  void notify_terminal(const JobRecord& record);
+  void notify_terminal(std::shared_ptr<const JobRecord> record);
   /// Installs park/resume hooks on `entry`'s breakpoint controller (flight
   /// entries, jobs_parked gauge, deadline credit). Called at submission
   /// and re-called by the recipient when a stolen job is resubmitted —
-  /// latest owner wins, which is correct because the donor's copy is
-  /// terminal (kMigrated) by then.
+  /// latest owner wins. The owner may be terminal when the hooks fire
+  /// (another submission sharing the controller was cancelled), so the
+  /// hooks append flight entries only to a record that is not terminal.
   void install_breakpoint_hooks(const std::shared_ptr<Entry>& entry);
 
   Options options_;

@@ -138,25 +138,25 @@ util::Result<JobId> JobServer::submit(JobSpec spec) {
   if (degraded) metrics_.increment("jobs_degraded");
   const JobId id = next_id_++;
   auto entry = std::make_shared<Entry>();
-  entry->record.id = id;
-  entry->record.name = spec.name;
-  entry->record.member = spec.member;
-  entry->record.tier = spec.tier;
-  entry->record.degraded = degraded;
-  entry->record.hub_epoch = options_.epoch;
-  entry->record.submit_ms = now_ms();
+  JobRecord& rec = *entry->record;
+  rec.id = id;
+  rec.name = spec.name;
+  rec.member = spec.member;
+  rec.tier = spec.tier;
+  rec.degraded = degraded;
+  rec.hub_epoch = options_.epoch;
+  rec.submit_ms = now_ms();
   if (deadline_ms > 0.0) entry->cancel.set_deadline_after_ms(deadline_ms);
   entry->spec = std::move(spec);
   install_breakpoint_hooks(entry);
-  entry->record.flight.push_back(
-      {0.0, "submit", entry->spec.name,
-       std::string("tier=") + edu::to_string(entry->record.tier) +
-           (degraded ? ", degraded to open effort" : "")});
+  rec.flight.push_back({0.0, "submit", entry->spec.name,
+                        std::string("tier=") + edu::to_string(rec.tier) +
+                            (degraded ? ", degraded to open effort" : "")});
   if (util::trace::enabled()) {
     util::trace::instant("hub.enqueue", "hub",
                          entry->spec.name + " id=" + std::to_string(id));
   }
-  scheduler_.push(id, entry->record.member, entry->record.tier);
+  scheduler_.push(id, rec.member, rec.tier);
   entries_.emplace(id, std::move(entry));
   metrics_.increment("jobs_submitted");
   metrics_.set_gauge("queue_depth", static_cast<double>(scheduler_.size()));
@@ -175,9 +175,9 @@ void JobServer::pause() {
   paused_ = true;
 }
 
-void JobServer::finalize_locked(Entry& entry, JobState state,
-                                util::Status status) {
-  JobRecord& rec = entry.record;
+std::shared_ptr<const JobRecord> JobServer::finalize_locked(
+    Entry& entry, JobState state, util::Status status) {
+  JobRecord& rec = *entry.record;
   rec.state = state;
   rec.status = std::move(status);
   rec.finish_ms = now_ms();
@@ -209,11 +209,15 @@ void JobServer::finalize_locked(Entry& entry, JobState state,
     }
   }
   metrics_.set_gauge("queue_depth", static_cast<double>(scheduler_.size()));
+  // A finished job never runs again; its closure may hold a design and
+  // configs that nothing else needs.
+  entry.spec.work = nullptr;
+  return entry.record;
 }
 
-void JobServer::notify_terminal(const JobRecord& record) {
-  if (options_.on_terminal && record.state != JobState::kMigrated) {
-    options_.on_terminal(record);
+void JobServer::notify_terminal(std::shared_ptr<const JobRecord> record) {
+  if (options_.on_terminal && record->state != JobState::kMigrated) {
+    options_.on_terminal(std::move(record));
   }
 }
 
@@ -241,8 +245,10 @@ void JobServer::install_breakpoint_hooks(const std::shared_ptr<Entry>& entry) {
         std::lock_guard<std::mutex> lock(mu_);
         ++parked_;
         metrics_.set_gauge("jobs_parked", static_cast<double>(parked_));
-        e->record.flight.push_back({now_ms() - e->record.submit_ms, "park",
-                                    step, "flow parked at breakpoint"});
+        JobRecord& rec = *e->record;
+        if (is_terminal(rec.state)) return;  // published: read-only
+        rec.flight.push_back({now_ms() - rec.submit_ms, "park", step,
+                              "flow parked at breakpoint"});
       },
       // on_resume: credit the parked wall time back to the deadline before
       // anything else — the flow re-checks the token immediately after.
@@ -257,32 +263,35 @@ void JobServer::install_breakpoint_hooks(const std::shared_ptr<Entry>& entry) {
         std::lock_guard<std::mutex> lock(mu_);
         if (parked_ > 0) --parked_;
         metrics_.set_gauge("jobs_parked", static_cast<double>(parked_));
-        e->record.flight.push_back({now_ms() - e->record.submit_ms, "resume",
-                                    step, "parked " + fmt_ms(parked_ms)});
+        JobRecord& rec = *e->record;
+        if (is_terminal(rec.state)) return;  // published: read-only
+        rec.flight.push_back({now_ms() - rec.submit_ms, "resume", step,
+                              "parked " + fmt_ms(parked_ms)});
       });
 }
 
 void JobServer::run_job(const std::shared_ptr<Entry>& entry) {
   // No server lock held here: this is the parallel section.
   const JobSpec& spec = entry->spec;
+  // Fields set before dispatch; the park/resume hooks write only `flight`.
+  JobRecord& record = *entry->record;
   const util::CancelToken token = entry->cancel.token();
   // Per-job deterministic stream: depends on the server seed and job id
   // only, never on worker interleaving.
-  util::Rng rng(options_.seed ^ (kSeedMix * entry->record.id));
+  util::Rng rng(options_.seed ^ (kSeedMix * record.id));
 
   // Trace lineage: every span this job opens carries the JobId as its
   // track, so one job's activity can be isolated in the export.
-  util::trace::ContextScope trace_scope({0, entry->record.id});
+  util::trace::ContextScope trace_scope({0, record.id});
   util::trace::Span job_span;
-  const double submit_ms = entry->record.submit_ms;
+  const double submit_ms = record.submit_ms;
   if (util::trace::enabled()) {
     job_span.begin("job:" + spec.name, "hub.job");
-    job_span.annotate("id", entry->record.id);
+    job_span.annotate("id", record.id);
     job_span.annotate("member", static_cast<std::uint64_t>(spec.member));
-    job_span.annotate("tier",
-                      std::string(edu::to_string(entry->record.tier)));
-    job_span.annotate("queue_wait_ms", entry->record.start_ms - submit_ms);
-    if (entry->record.degraded) job_span.annotate("degraded", true);
+    job_span.annotate("tier", std::string(edu::to_string(record.tier)));
+    job_span.annotate("queue_wait_ms", record.start_ms - submit_ms);
+    if (record.degraded) job_span.annotate("degraded", true);
   }
   std::vector<FlightEntry> flight;
 
@@ -304,7 +313,7 @@ void JobServer::run_job(const std::shared_ptr<Entry>& entry) {
     ctx.attempt = attempt;
     ctx.rng = &rng;
     ctx.cache = cache_.load(std::memory_order_relaxed);
-    ctx.degraded = entry->record.degraded;
+    ctx.degraded = record.degraded;
     ctx.last_error = prev_error;
     const double t_attempt = now_ms() - submit_ms;
     flight.push_back({t_attempt, "attempt",
@@ -427,28 +436,25 @@ void JobServer::run_job(const std::shared_ptr<Entry>& entry) {
     }
   }
 
-  JobRecord done;
+  std::shared_ptr<const JobRecord> done;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    entry->record.attempts = attempts;
-    entry->record.steps = std::move(steps);
-    entry->record.ppa = ppa;
-    entry->record.cache_hits = cache_hits;
-    entry->record.resume_depth = resume_depth;
-    entry->record.artifact_digest = artifact_digest;
-    for (FlightEntry& fe : flight) {
-      entry->record.flight.push_back(std::move(fe));
-    }
+    record.attempts = attempts;
+    record.steps = std::move(steps);
+    record.ppa = ppa;
+    record.cache_hits = cache_hits;
+    record.resume_depth = resume_depth;
+    record.artifact_digest = artifact_digest;
+    for (FlightEntry& fe : flight) record.flight.push_back(std::move(fe));
     if (resume_depth > 0) {
       metrics_.increment("steps_resumed", resume_depth);
       metrics_.observe("resume_depth", static_cast<double>(resume_depth));
     }
     update_breaker_locked(*entry, final_state, final_status.code());
-    finalize_locked(*entry, final_state, std::move(final_status));
+    done = finalize_locked(*entry, final_state, std::move(final_status));
     sync_cache_metrics_locked();
-    done = entry->record;
   }
-  notify_terminal(done);
+  notify_terminal(std::move(done));
 }
 
 void JobServer::update_breaker_locked(const Entry& entry, JobState state,
@@ -527,25 +533,25 @@ void JobServer::worker_loop(int index) {
 
     // Deadline may have passed while the job sat in the queue.
     if (entry->cancel.token().deadline_passed()) {
-      finalize_locked(*entry, JobState::kTimedOut,
-                      util::Status::DeadlineExceeded("timed out in queue"));
+      auto done =
+          finalize_locked(*entry, JobState::kTimedOut,
+                          util::Status::DeadlineExceeded("timed out in queue"));
       cv_done_.notify_all();
       if (options_.on_terminal) {
-        const JobRecord done = entry->record;
         lock.unlock();
-        notify_terminal(done);
+        notify_terminal(std::move(done));
         lock.lock();
       }
       continue;
     }
 
-    entry->record.state = JobState::kRunning;
-    entry->record.start_ms = now_ms();
-    entry->record.flight.push_back(
-        {entry->record.start_ms - entry->record.submit_ms, "start",
-         "hub-worker-" + std::to_string(index),
-         "queue_wait=" +
-             fmt_ms(entry->record.start_ms - entry->record.submit_ms)});
+    JobRecord& rec = *entry->record;
+    rec.state = JobState::kRunning;
+    rec.start_ms = now_ms();
+    const double queue_wait_ms = rec.start_ms - rec.submit_ms;
+    rec.flight.push_back({queue_wait_ms, "start",
+                          "hub-worker-" + std::to_string(index),
+                          "queue_wait=" + fmt_ms(queue_wait_ms)});
     ++running_;
     metrics_.set_gauge("queue_depth", static_cast<double>(scheduler_.size()));
     metrics_.set_gauge("running", static_cast<double>(running_));
@@ -565,16 +571,16 @@ bool JobServer::cancel(JobId id) {
   const auto it = entries_.find(id);
   if (it == entries_.end()) return false;
   Entry& entry = *it->second;
-  if (is_terminal(entry.record.state)) return false;
-  if (entry.record.state == JobState::kQueued) {
+  if (is_terminal(entry.record->state)) return false;
+  if (entry.record->state == JobState::kQueued) {
     scheduler_.remove(id);
-    finalize_locked(entry, JobState::kCancelled,
-                    util::Status::Cancelled("cancelled while queued"));
+    auto done = finalize_locked(
+        entry, JobState::kCancelled,
+        util::Status::Cancelled("cancelled while queued"));
     cv_done_.notify_all();
     if (options_.on_terminal) {
-      const JobRecord done = entry.record;
       lock.unlock();
-      notify_terminal(done);
+      notify_terminal(std::move(done));
     }
     return true;
   }
@@ -590,26 +596,30 @@ util::Result<JobRecord> JobServer::wait(JobId id) {
 }
 
 util::Result<JobRecord> JobServer::wait_for(JobId id, double timeout_ms) {
-  std::unique_lock<std::mutex> lock(mu_);
-  const auto it = entries_.find(id);
-  if (it == entries_.end()) {
-    return util::Status::NotFound("unknown job id " + std::to_string(id));
+  std::shared_ptr<const JobRecord> record;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    const auto it = entries_.find(id);
+    if (it == entries_.end()) {
+      return util::Status::NotFound("unknown job id " + std::to_string(id));
+    }
+    record = it->second->record;
+    const auto done = [&] { return is_terminal(record->state); };
+    if (timeout_ms < 0.0) {
+      cv_done_.wait(lock, done);
+    } else if (!cv_done_.wait_for(
+                   lock,
+                   std::chrono::duration_cast<
+                       std::chrono::steady_clock::duration>(
+                       std::chrono::duration<double, std::milli>(timeout_ms)),
+                   done)) {
+      return util::Status::DeadlineExceeded(
+          "job " + std::to_string(id) + " not terminal after " +
+          std::to_string(timeout_ms) + " ms (state " +
+          std::string(to_string(record->state)) + ")");
+    }
   }
-  std::shared_ptr<Entry> entry = it->second;
-  const auto done = [&] { return is_terminal(entry->record.state); };
-  if (timeout_ms < 0.0) {
-    cv_done_.wait(lock, done);
-  } else if (!cv_done_.wait_for(
-                 lock,
-                 std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                     std::chrono::duration<double, std::milli>(timeout_ms)),
-                 done)) {
-    return util::Status::DeadlineExceeded(
-        "job " + std::to_string(id) + " not terminal after " +
-        std::to_string(timeout_ms) + " ms (state " +
-        std::string(to_string(entry->record.state)) + ")");
-  }
-  return entry->record;
+  return *record;  // terminal, so immutable: copied without the lock
 }
 
 std::vector<JobRecord> JobServer::drain() {
@@ -619,7 +629,7 @@ std::vector<JobRecord> JobServer::drain() {
   cv_done_.wait(lock, [&] { return scheduler_.empty() && running_ == 0; });
   std::vector<JobRecord> records;
   records.reserve(entries_.size());
-  for (const auto& [id, entry] : entries_) records.push_back(entry->record);
+  for (const auto& [id, entry] : entries_) records.push_back(*entry->record);
   return records;  // map order == id order
 }
 
@@ -628,15 +638,15 @@ void JobServer::shutdown(DrainMode mode) {
   if (stopping_ && workers_.empty()) return;  // already fully shut down
   stopping_ = true;
   paused_ = false;
-  std::vector<JobRecord> cancelled;
+  std::vector<std::shared_ptr<const JobRecord>> cancelled;
   if (mode == DrainMode::kCancelPending) {
     for (auto& [id, entry] : entries_) {
-      if (entry->record.state == JobState::kQueued) {
+      if (entry->record->state == JobState::kQueued) {
         scheduler_.remove(id);
-        finalize_locked(*entry, JobState::kCancelled,
-                        util::Status::Cancelled("server shutdown"));
-        if (options_.on_terminal) cancelled.push_back(entry->record);
-      } else if (entry->record.state == JobState::kRunning) {
+        auto done = finalize_locked(*entry, JobState::kCancelled,
+                                    util::Status::Cancelled("server shutdown"));
+        if (options_.on_terminal) cancelled.push_back(std::move(done));
+      } else if (entry->record->state == JobState::kRunning) {
         entry->cancel.request_cancel();
       }
     }
@@ -652,7 +662,7 @@ void JobServer::shutdown(DrainMode mode) {
   std::vector<std::thread> workers = std::move(workers_);
   workers_.clear();
   lock.unlock();
-  for (const JobRecord& rec : cancelled) notify_terminal(rec);
+  for (auto& rec : cancelled) notify_terminal(std::move(rec));
   for (std::thread& t : workers) t.join();
 }
 
@@ -661,7 +671,7 @@ core::EnablementHub::QueueReport JobServer::measured_queue_report() {
   std::vector<core::EnablementHub::Job> jobs;
   std::vector<core::EnablementHub::JobOutcome> outcomes;
   for (const auto& [id, entry] : entries_) {
-    const JobRecord& rec = entry->record;
+    const JobRecord& rec = *entry->record;
     if (!is_terminal(rec.state) || rec.start_ms < 0.0) continue;
     core::EnablementHub::Job job;
     job.member = rec.member;
@@ -691,9 +701,9 @@ std::vector<JobServer::StolenJob> JobServer::export_queued(
     StolenJob job;
     job.id = *id;
     job.spec = entry.spec;  // work fn is a shared std::function — copyable
-    job.waited_ms = now_ms() - entry.record.submit_ms;
+    job.waited_ms = now_ms() - entry.record->submit_ms;
     stolen.push_back(std::move(job));
-    entry.record.flight.push_back(
+    entry.record->flight.push_back(
         {job.waited_ms, "migrate", "exported",
          "stolen after " + fmt_ms(stolen.back().waited_ms) + " queued"});
     finalize_locked(entry, JobState::kMigrated,
@@ -703,8 +713,7 @@ std::vector<JobServer::StolenJob> JobServer::export_queued(
                            entry.spec.name + " id=" + std::to_string(*id));
     }
   }
-  // Wake wait()ers: an exported id is terminal here (kMigrated); the
-  // federation re-reads its mapping and follows the job to its new home.
+  // Wake wait()ers: an exported id is terminal here (kMigrated).
   if (!stolen.empty()) cv_done_.notify_all();
   return stolen;
 }
@@ -770,7 +779,7 @@ bool JobServer::wait_parked(JobId id, double timeout_ms) {
     if (bp->wait_parked(slice)) return true;
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = entries_.find(id);
-    if (it == entries_.end() || is_terminal(it->second->record.state)) {
+    if (it == entries_.end() || is_terminal(it->second->record->state)) {
       return bp->parked();
     }
   }
@@ -809,7 +818,7 @@ util::Result<dbg::QueryResult> JobServer::query(JobId id,
     JobRecord snapshot;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      snapshot = entry->record;
+      snapshot = *entry->record;
     }
     r.text = render_flight_record(snapshot);
     return r;
@@ -873,7 +882,7 @@ util::Result<dbg::QueryResult> JobServer::query(JobId id,
     // the cache were keyed under that effective config, not the requested
     // one.
     std::lock_guard<std::mutex> lock(mu_);
-    if (entry->record.degraded) cfg.quality = flow::FlowQuality::kOpen;
+    if (entry->record->degraded) cfg.quality = flow::FlowQuality::kOpen;
   }
   return dbg::answer_from_cache(q, *debug->design, cfg, *cache);
 }

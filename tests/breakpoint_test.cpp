@@ -180,6 +180,48 @@ TEST(BreakpointServerTest, CancelWhileParkedFinalizesAsCancelled) {
   EXPECT_EQ(srv.parked_count(), 0u);
 }
 
+TEST(BreakpointServerTest, HooksNeverWriteATerminalRecord) {
+  // Two submissions of one spec share its BreakController, and the later
+  // one installs its hooks over the parked job's. Once that later job is
+  // terminal its record is published, so the parked job's resume must
+  // not append to it.
+  const auto design =
+      std::make_shared<const rtl::Module>(rtl::designs::counter(8));
+  auto cfg = open_config(3);
+  cfg.break_after = "place";
+  const hub::JobSpec spec = hub::make_flow_job("parked", design, cfg);
+  hub::JobServer::Options opt;
+  opt.capacity = 1;
+  hub::JobServer srv(opt);
+  const auto a = srv.submit(spec);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(srv.wait_parked(*a, 120000.0));
+
+  hub::JobSpec copy = spec;
+  copy.name = "sharer";
+  const auto b = srv.submit(std::move(copy));
+  ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(srv.cancel(*b));  // still queued: the one worker is parked
+  const auto b_cancelled = srv.wait(*b);
+  ASSERT_TRUE(b_cancelled.ok());
+  ASSERT_EQ(b_cancelled->state, hub::JobState::kCancelled);
+
+  EXPECT_TRUE(srv.resume(*a));
+  const auto a_done = srv.wait(*a);
+  ASSERT_TRUE(a_done.ok());
+  EXPECT_EQ(a_done->state, hub::JobState::kSucceeded)
+      << a_done->status.to_string();
+  EXPECT_EQ(srv.parked_count(), 0u);
+
+  const auto b_later = srv.wait(*b);
+  ASSERT_TRUE(b_later.ok());
+  ASSERT_EQ(b_later->flight.size(), b_cancelled->flight.size())
+      << hub::render_flight_record(*b_later);
+  for (std::size_t i = 0; i < b_later->flight.size(); ++i) {
+    EXPECT_EQ(b_later->flight[i].kind, b_cancelled->flight[i].kind);
+  }
+}
+
 TEST(BreakpointServerTest, DeadlineClockIsSuspendedWhileParked) {
   const auto design =
       std::make_shared<const rtl::Module>(rtl::designs::counter(6));

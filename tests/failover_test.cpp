@@ -564,7 +564,8 @@ TEST(FailoverServiceTest, EarlyTerminalRaceStressSettlesEverythingOnce) {
   opts.max_commercial_inflight = 4;
   fed::FederatedService service(opts);
 
-  // Instant jobs maximize the terminal-before-register window; half are
+  // Instant jobs finish while submit() and the stealer are still placing
+  // others, so a terminal racing its own mapping would show here; half are
   // commercial so quota release is exercised under the race too.
   std::vector<fed::FedJobId> ids;
   for (int i = 0; i < 200; ++i) {

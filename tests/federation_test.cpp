@@ -573,19 +573,77 @@ TEST(FederationServiceTest, WaitFollowsAMigratedJob) {
   auto id = service.submit(quick_job("follow", "hot_design"));
   ASSERT_TRUE(id.ok());
 
-  std::atomic<bool> done{false};
-  std::thread waiter([&] {
+  // Several waiters on one job: settlement must wake every one of them,
+  // and all must see the same booked record.
+  constexpr int kWaiters = 3;
+  std::vector<hub::JobRecord> seen(kWaiters);
+  std::atomic<int> done{0};
+  std::vector<std::thread> waiters;
+  for (int w = 0; w < kWaiters; ++w) {
+    waiters.emplace_back([&, w] {
+      const auto record = service.wait(*id);
+      ASSERT_TRUE(record.ok()) << record.status().to_string();
+      seen[w] = *record;
+      done.fetch_add(1);
+    });
+  }
+  // Give the waiters time to block before migrating.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(service.rebalance_once(), 1u);
+  service.start();
+  for (std::thread& t : waiters) t.join();
+  ASSERT_EQ(done.load(), kWaiters);
+
+  const hub::JobRecord& first = seen[0];
+  EXPECT_EQ(first.state, hub::JobState::kSucceeded);
+  bool stolen = false;
+  for (const auto& e : first.flight) stolen = stolen || e.kind == "steal";
+  EXPECT_TRUE(stolen) << hub::render_flight_record(first);
+  for (int w = 1; w < kWaiters; ++w) {
+    EXPECT_EQ(seen[w].state, first.state);
+    EXPECT_EQ(seen[w].queue_wait_ms, first.queue_wait_ms);
+    ASSERT_EQ(seen[w].flight.size(), first.flight.size());
+    for (std::size_t i = 0; i < first.flight.size(); ++i) {
+      EXPECT_EQ(seen[w].flight[i].t_ms, first.flight[i].t_ms);
+      EXPECT_EQ(seen[w].flight[i].kind, first.flight[i].kind);
+      EXPECT_EQ(seen[w].flight[i].label, first.flight[i].label);
+    }
+  }
+}
+
+TEST(FederationServiceTest, SettledJobsReleaseTheirWorkClosure) {
+  // A finished job never runs again, so neither the federation's book nor
+  // the hub that ran it may keep its work closure (and what it captured).
+  const auto payload = std::make_shared<int>(42);
+  const auto holding_job = [&payload](const std::string& name) {
+    hub::JobSpec spec = quick_job(name, "closure_design");
+    spec.work = [held = payload](hub::JobContext&) {
+      return *held == 42 ? util::Status::Ok()
+                         : util::Status::Internal("payload changed");
+    };
+    return spec;
+  };
+  {
+    fed::FederatedService::Options opts;
+    opts.hubs = 2;
+    opts.steal = false;
+    fed::FederatedService service(opts);
+    const auto id = service.submit(holding_job("federated"));
+    ASSERT_TRUE(id.ok());
     const auto record = service.wait(*id);
     ASSERT_TRUE(record.ok());
     EXPECT_EQ(record->state, hub::JobState::kSucceeded);
-    done.store(true);
-  });
-  // Give the waiter time to block on the donor hub before migrating.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  (void)service.rebalance_once();
-  service.start();
-  waiter.join();
-  EXPECT_TRUE(done.load());
+    EXPECT_EQ(payload.use_count(), 1);
+  }
+  {
+    hub::JobServer server({});
+    const auto id = server.submit(holding_job("standalone"));
+    ASSERT_TRUE(id.ok());
+    const auto record = server.wait(*id);
+    ASSERT_TRUE(record.ok());
+    EXPECT_EQ(record->state, hub::JobState::kSucceeded);
+    EXPECT_EQ(payload.use_count(), 1);
+  }
 }
 
 TEST(FederationServiceTest, CancelRacingStealNeverLosesTheCancel) {
