@@ -11,11 +11,17 @@ namespace {
 constexpr std::chrono::milliseconds kParkPoll{5};
 }  // namespace
 
-void BreakController::set_hooks(std::function<void()> on_park,
+void BreakController::set_hooks(const util::CancelToken& owner,
+                                std::function<void()> on_park,
                                 std::function<void(double)> on_resume) {
   std::lock_guard<std::mutex> lock(mu_);
-  on_park_ = std::move(on_park);
-  on_resume_ = std::move(on_resume);
+  std::erase_if(hooks_, [&owner](const Hooks& h) { return h.owner == owner; });
+  hooks_.push_back({owner, std::move(on_park), std::move(on_resume)});
+}
+
+void BreakController::clear_hooks(const util::CancelToken& owner) {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::erase_if(hooks_, [&owner](const Hooks& h) { return h.owner == owner; });
 }
 
 double BreakController::park(const FlowContext& ctx,
@@ -24,21 +30,22 @@ double BreakController::park(const FlowContext& ctx,
   // The owner hook fires BEFORE the parked context is published: once
   // wait_parked()/parked() observe the park, the owner's bookkeeping
   // (gauges, flight entries) is already in place.
-  std::function<void()> on_park;
+  Hooks hooks;
   std::uint64_t epoch = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     epoch = resume_epoch_;
-    on_park = on_park_;
+    for (const Hooks& h : hooks_) {
+      if (h.owner == cancel) hooks = h;
+    }
   }
-  if (on_park) on_park();
+  if (hooks.on_park) hooks.on_park();
   {
     std::lock_guard<std::mutex> lock(mu_);
     parked_.push_back(&ctx);
   }
   cv_.notify_all();
 
-  std::function<void(double)> on_resume;
   {
     std::unique_lock<std::mutex> lock(mu_);
     // Deadline deliberately ignored: only resume() or an explicit cancel
@@ -52,14 +59,13 @@ double BreakController::park(const FlowContext& ctx,
         break;
       }
     }
-    on_resume = on_resume_;
   }
   cv_.notify_all();
   const double parked_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - t0)
           .count();
-  if (on_resume) on_resume(parked_ms);
+  if (hooks.on_resume) hooks.on_resume(parked_ms);
   return parked_ms;
 }
 

@@ -123,7 +123,6 @@ util::Digest digest_of(const route::RoutedDesign& routed) {
 }
 
 void hash_options(util::Hasher& h, const synth::MapOptions& o) {
-  h.i64(o.cut_size).i64(o.cuts_per_node).boolean(o.use_complex_cells);
   h.u8(static_cast<std::uint8_t>(o.objective)).boolean(o.size_for_load);
 }
 

@@ -35,7 +35,6 @@ EffortKnobs knobs_for(FlowQuality quality, std::uint64_t seed,
   if (quality == FlowQuality::kOpen) {
     k.synth_iterations = 1;
     k.map_options.objective = synth::MapObjective::kArea;
-    k.map_options.use_complex_cells = true;
     k.map_options.size_for_load = false;
     k.place_options.global_iterations = 30;
     k.place_options.spreading_rounds = 4;
@@ -45,7 +44,6 @@ EffortKnobs knobs_for(FlowQuality quality, std::uint64_t seed,
   } else {
     k.synth_iterations = 6;
     k.map_options.objective = synth::MapObjective::kDelay;
-    k.map_options.use_complex_cells = true;
     k.map_options.size_for_load = true;
     k.place_options.global_iterations = 100;
     k.place_options.spreading_rounds = 8;

@@ -10,6 +10,8 @@
 //     reports the parked duration to the on_resume hook so the owner can
 //     credit it back (util::CancelSource::extend_deadline_ms). Explicit
 //     cancel is still honored promptly — a parked job is cancellable.
+//   * Hooks belong to the cancel token their owner's flow parks with, so
+//     owners sharing a controller never take each other's park or credit.
 //   * inspect() runs a callback on the parked FlowContext under the
 //     controller lock; the flow thread cannot leave the park while the
 //     callback runs, so reads of the intermediate artifacts are race-free.
@@ -38,18 +40,20 @@ struct FlowContext;
 
 class BreakController {
  public:
-  /// Installs owner hooks, replacing any previous ones. `on_park` fires
-  /// just before the flow thread publishes the parked context (so an
+  /// Installs (or replaces) the hooks that park(ctx, owner) runs. `on_park`
+  /// fires just before the flow thread publishes the parked context (so an
   /// observer woken by wait_parked() already sees the owner's bookkeeping);
-  /// `on_resume` fires after it unparks, with the parked duration in
-  /// milliseconds. Both run on the flow thread, outside the controller
-  /// lock.
-  void set_hooks(std::function<void()> on_park,
+  /// `on_resume` fires after it unparks, with the parked duration in ms.
+  /// Both run on the flow thread, outside the controller lock.
+  void set_hooks(const util::CancelToken& owner, std::function<void()> on_park,
                  std::function<void(double parked_ms)> on_resume);
 
-  /// Blocks the calling flow thread until resume() or explicit
-  /// cancellation; returns the parked duration in ms. Called by
-  /// FlowTemplate::execute — not by inspectors.
+  /// Drops `owner`'s hooks (the owner is done with this controller).
+  void clear_hooks(const util::CancelToken& owner);
+
+  /// Blocks the calling flow thread, running `cancel`'s hooks, until
+  /// resume() or explicit cancellation; returns the parked duration in ms.
+  /// Called by FlowTemplate::execute — not by inspectors.
   double park(const FlowContext& ctx, const util::CancelToken& cancel);
 
   /// Releases every currently parked flow thread. Idempotent; a resume
@@ -74,8 +78,12 @@ class BreakController {
   /// stays valid exactly while its thread waits inside park().
   std::vector<const FlowContext*> parked_;
   std::uint64_t resume_epoch_ = 0;
-  std::function<void()> on_park_;
-  std::function<void(double)> on_resume_;
+  struct Hooks {
+    util::CancelToken owner;
+    std::function<void()> on_park;
+    std::function<void(double)> on_resume;
+  };
+  std::vector<Hooks> hooks_;  ///< at most one entry per owner
 };
 
 }  // namespace eurochip::flow

@@ -283,7 +283,8 @@ class JobServer {
   double now_ms() const;
   /// Finalizes under lock (metrics too: metrics_ has its own lock and no
   /// other lock is taken), drops the spec's work function with whatever
-  /// its closure captured, and returns the record, immutable from here on.
+  /// its closure captured and its breakpoint hooks (the controller lock
+  /// never waits on mu_), and returns the record, immutable from here on.
   std::shared_ptr<const JobRecord> finalize_locked(Entry& entry, JobState state,
                                                    util::Status status);
   void run_job(const std::shared_ptr<Entry>& entry);
@@ -299,10 +300,10 @@ class JobServer {
   /// be called WITHOUT mu_ held.
   void notify_terminal(std::shared_ptr<const JobRecord> record);
   /// Installs park/resume hooks on `entry`'s breakpoint controller (flight
-  /// entries, jobs_parked gauge, deadline credit). Called at submission
-  /// and re-called by the recipient when a stolen job is resubmitted —
-  /// latest owner wins. The owner may be terminal when the hooks fire
-  /// (another submission sharing the controller was cancelled), so the
+  /// entries, jobs_parked gauge, deadline credit) at submission. They are
+  /// registered for the entry's cancel token, so only the entry's own flow
+  /// fires them even when other submissions (copies, a stolen job's
+  /// recipient) share the controller; finalize_locked drops them. The
   /// hooks append flight entries only to a record that is not terminal.
   void install_breakpoint_hooks(const std::shared_ptr<Entry>& entry);
 

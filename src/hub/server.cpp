@@ -212,6 +212,9 @@ std::shared_ptr<const JobRecord> JobServer::finalize_locked(
   // A finished job never runs again; its closure may hold a design and
   // configs that nothing else needs.
   entry.spec.work = nullptr;
+  if (entry.spec.breakpoint != nullptr) {
+    entry.spec.breakpoint->clear_hooks(entry.cancel.token());
+  }
   return entry.record;
 }
 
@@ -232,6 +235,7 @@ void JobServer::install_breakpoint_hooks(const std::shared_ptr<Entry>& entry) {
   // owns — a shared_ptr would make Entry immortal through its own spec.
   std::weak_ptr<Entry> weak = entry;
   entry->spec.breakpoint->set_hooks(
+      entry->cancel.token(),
       // on_park: runs on the flow thread right after it published the
       // parked context. Outside the controller lock, so taking mu_ here
       // cannot deadlock against inspect()/set_hooks() callers under mu_.

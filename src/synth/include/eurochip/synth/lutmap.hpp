@@ -5,6 +5,8 @@
 // ASIC development". This mapper covers an AIG with k-input LUTs (the
 // FPGA fabric abstraction) so the FPGA-vs-ASIC coverage bench can compare
 // what each flow teaches: LUT mapping ends where the ASIC backend begins.
+// Its cuts come from the cut engine it shares with the standard-cell
+// mapper (cuts.hpp); only its depth-first selection and pruning are its own.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +19,6 @@ namespace eurochip::synth {
 
 struct LutMapOptions {
   int k = 4;               ///< LUT input count (4 or 6 are typical)
-  int cuts_per_node = 8;
 };
 
 /// One mapped LUT.

@@ -1,12 +1,13 @@
 // Cut-based technology mapping: covers an optimized AIG with standard
 // cells from a netlist::CellLibrary.
 //
-// Method: enumerate k-feasible cuts (k <= 3) per AND node, compute each
-// cut's truth table by cone evaluation, match it against a precomputed
-// pattern table of library-cell functions under all input permutations
-// (with optional per-input inversions costed as inverters), then select a
-// cover by dynamic programming — area flow for area mode, arrival time for
-// delay mode — and emit the mapped netlist. Latches map to DFF cells with
+// Method: enumerate 3-feasible cuts per AND node with the shared cut
+// engine (cuts.hpp), which composes each cut's truth table from its fanin
+// cuts' tables; match the table against a precomputed pattern table of
+// library-cell functions under all input permutations (with optional
+// per-input inversions costed as inverters), then select a cover by
+// dynamic programming — area flow for area mode, arrival time for delay
+// mode — and emit the mapped netlist. Latches map to DFF cells with
 // init-value polarity folding; complemented requirements use a matched
 // complement cell when available, otherwise a shared inverter.
 #pragma once
@@ -21,9 +22,6 @@ namespace eurochip::synth {
 enum class MapObjective { kArea, kDelay };
 
 struct MapOptions {
-  int cut_size = 3;             ///< max cut leaves (2 or 3)
-  int cuts_per_node = 8;        ///< cut-set pruning bound
-  bool use_complex_cells = true;///< match AOI/OAI/MUX/XOR patterns
   MapObjective objective = MapObjective::kArea;
   bool size_for_load = false;   ///< post-pass: upsize overloaded drivers
 };

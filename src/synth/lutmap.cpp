@@ -3,23 +3,9 @@
 #include <algorithm>
 #include <limits>
 
+#include "eurochip/synth/cuts.hpp"
+
 namespace eurochip::synth {
-
-namespace {
-
-using CutLeaves = std::vector<std::uint32_t>;  // sorted node ids
-
-/// Merges two sorted leaf sets; empty result = exceeded k.
-CutLeaves merge(const CutLeaves& a, const CutLeaves& b, std::size_t k) {
-  CutLeaves out;
-  out.reserve(a.size() + b.size());
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
-  if (out.size() > k) out.clear();
-  return out;
-}
-
-}  // namespace
 
 util::Result<LutMapping> map_to_luts(const Aig& aig,
                                      const LutMapOptions& opt) {
@@ -27,73 +13,53 @@ util::Result<LutMapping> map_to_luts(const Aig& aig,
     return util::Status::InvalidArgument("LUT k must be in [2, 6]");
   }
   if (util::Status s = aig.check(); !s.ok()) return s;
-  const auto k = static_cast<std::size_t>(opt.k);
 
-  // Per node: candidate cuts, best (depth-minimal) cut, LUT level.
-  std::vector<std::vector<CutLeaves>> cuts(aig.num_nodes());
-  std::vector<CutLeaves> best_cut(aig.num_nodes());
+  // Per node: cut set, best (depth-minimal) cut, LUT level.
+  std::vector<std::vector<Cut>> cuts(aig.num_nodes());
+  std::vector<Cut> best_cut(aig.num_nodes());
   std::vector<int> level(aig.num_nodes(), 0);
 
   const auto is_leaf_node = [&aig](std::uint32_t n) {
-    const NodeKind kind = aig.node(n).kind;
-    return kind == NodeKind::kInput || kind == NodeKind::kLatch ||
-           kind == NodeKind::kConst;
+    return aig.node(n).kind != NodeKind::kAnd;  // input, latch or constant
   };
   for (std::uint32_t n = 0; n < aig.num_nodes(); ++n) {
-    if (is_leaf_node(n)) {
-      cuts[n] = {{n}};
-      best_cut[n] = {n};
-      level[n] = 0;
-    }
+    if (is_leaf_node(n)) cuts[n] = {trivial_cut(n)};
   }
+  // Depth of a cut's leaves (the cut's LUT sits one level above).
+  const auto leaf_level = [&level](const Cut& c) {
+    int lvl = 0;
+    for (int s = 0; s < c.size; ++s) lvl = std::max(lvl, level[c.leaves[s]]);
+    return lvl;
+  };
 
   for (std::uint32_t n : aig.and_nodes_topo()) {
     const AigNode& an = aig.node(n);
-    const std::uint32_t n0 = lit_node(an.fanin0);
-    const std::uint32_t n1 = lit_node(an.fanin1);
-    std::vector<CutLeaves> cand;
-    for (const CutLeaves& c0 : cuts[n0]) {
-      for (const CutLeaves& c1 : cuts[n1]) {
-        CutLeaves m = merge(c0, c1, k);
-        if (m.empty()) continue;
-        if (std::find(cand.begin(), cand.end(), m) == cand.end()) {
-          cand.push_back(std::move(m));
-        }
-      }
-    }
+    std::vector<Cut> cand = merge_fanin_cuts(
+        aig, n, cuts[lit_node(an.fanin0)], cuts[lit_node(an.fanin1)], opt.k);
     // Depth of a cut = 1 + max leaf level; pick depth-minimal, then
     // smallest cut.
     int best_level = std::numeric_limits<int>::max();
-    std::size_t best_size = k + 1;
-    CutLeaves chosen;
-    for (const CutLeaves& c : cand) {
-      int lvl = 0;
-      for (std::uint32_t leaf : c) lvl = std::max(lvl, level[leaf]);
-      lvl += 1;
-      if (lvl < best_level || (lvl == best_level && c.size() < best_size)) {
+    for (const Cut& c : cand) {
+      const int lvl = leaf_level(c) + 1;
+      if (lvl < best_level ||
+          (lvl == best_level && c.size < best_cut[n].size)) {
         best_level = lvl;
-        best_size = c.size();
-        chosen = c;
+        best_cut[n] = c;
       }
     }
-    best_cut[n] = chosen;
     level[n] = best_level;
 
     // Prune the cut set for fanouts: keep the chosen + shallowest few,
     // plus the trivial cut.
     std::sort(cand.begin(), cand.end(),
-              [&level](const CutLeaves& a, const CutLeaves& b) {
-                int la = 0;
-                int lb = 0;
-                for (auto x : a) la = std::max(la, level[x]);
-                for (auto x : b) lb = std::max(lb, level[x]);
+              [&leaf_level](const Cut& a, const Cut& b) {
+                const int la = leaf_level(a);
+                const int lb = leaf_level(b);
                 if (la != lb) return la < lb;
-                return a.size() < b.size();
+                return a.size < b.size;
               });
-    if (static_cast<int>(cand.size()) > opt.cuts_per_node) {
-      cand.resize(static_cast<std::size_t>(opt.cuts_per_node));
-    }
-    cand.push_back({n});
+    if (cand.size() > kCutsPerNode) cand.resize(kCutsPerNode);
+    cand.push_back(trivial_cut(n));
     cuts[n] = std::move(cand);
   }
 
@@ -119,7 +85,8 @@ util::Result<LutMapping> map_to_luts(const Aig& aig,
     if (is_leaf_node(n)) continue;
     Lut lut;
     lut.root = n;
-    lut.inputs = best_cut[n];
+    const Cut& cut = best_cut[n];
+    lut.inputs.assign(cut.leaves.begin(), cut.leaves.begin() + cut.size);
     for (std::uint32_t leaf : lut.inputs) require(make_lit(leaf, false));
     mapping.luts.push_back(std::move(lut));
     max_level = std::max(max_level, level[n]);

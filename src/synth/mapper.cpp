@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <limits>
-#include <map>
-#include <optional>
 #include <unordered_map>
 #include <vector>
+
+#include "eurochip/synth/cuts.hpp"
 
 namespace eurochip::synth {
 
@@ -20,8 +19,8 @@ using netlist::LibraryCell;
 using netlist::NetId;
 using netlist::Netlist;
 
-// Truth-table patterns of the three cut-leaf variables in 3-var space.
-constexpr std::array<std::uint8_t, 3> kVarTt = {0xAA, 0xCC, 0xF0};
+// Cut leaves: the widest cells the pattern table holds have three inputs.
+constexpr int kCutSize = 3;
 
 // ---------------------------------------------------------------------------
 // Pattern table: (tt, cut size) -> best cell match.
@@ -34,7 +33,6 @@ struct Match {
   std::uint8_t inv_mask = 0;   ///< per cell-input inversion
   double cost = 0.0;           ///< cell area + inverter-area estimate
   double delay_ps = 0.0;       ///< nominal cell delay estimate
-  bool is_complex = false;     ///< arity-3 cell
 };
 
 using PatternKey = std::uint16_t;  // tt | (cut_size << 8)
@@ -45,7 +43,7 @@ constexpr PatternKey pattern_key(std::uint8_t tt, int cut_size) {
 
 class PatternTable {
  public:
-  PatternTable(const CellLibrary& lib, bool use_complex) : lib_(lib) {
+  explicit PatternTable(const CellLibrary& lib) : lib_(lib) {
     const auto inv_index = lib.smallest_for(CellFn::kInv);
     inv_area_ = inv_index ? lib.cell(*inv_index).area_um2 : 1.0;
     inv_delay_ = inv_index ? nominal_delay(lib.cell(*inv_index)) : 10.0;
@@ -54,7 +52,6 @@ class PatternTable {
       const LibraryCell& c = lib.cell(i);
       if (c.is_sequential() || c.num_inputs() == 0) continue;
       if (c.fn == CellFn::kBuf) continue;  // buffers never win a match
-      if (!use_complex && c.num_inputs() > 2) continue;
       // Only the smallest drive of each function seeds patterns; sizing is
       // a post-pass.
       const auto smallest = lib.smallest_for(c.fn);
@@ -68,9 +65,6 @@ class PatternTable {
     return it == table_.end() ? nullptr : &it->second;
   }
 
-  [[nodiscard]] double inv_area() const { return inv_area_; }
-  [[nodiscard]] double inv_delay() const { return inv_delay_; }
-
  private:
   static double nominal_delay(const LibraryCell& c) {
     return c.delay_ps.lookup(20.0, 4.0 * std::max(0.1, c.input_cap_ff));
@@ -79,17 +73,10 @@ class PatternTable {
   void add_cell_patterns(std::size_t lib_index) {
     const LibraryCell& c = lib_.cell(lib_index);
     const int n = c.num_inputs();
-    std::vector<std::array<std::uint8_t, 3>> perms;
-    // All injective placements of n cell inputs into `cut_size` slots are
-    // covered by permutations of {0,1,2} restricted to the first n entries,
-    // per cut size at lookup.
-    std::array<std::uint8_t, 3> idx = {0, 1, 2};
+    // All injective placements of n cell inputs into the cut's leaf slots
+    // are the permutations of {0,1,2} restricted to the first n entries.
+    std::array<std::uint8_t, 3> p = {0, 1, 2};
     do {
-      std::array<std::uint8_t, 3> p = {idx[0], idx[1], idx[2]};
-      perms.push_back(p);
-    } while (std::next_permutation(idx.begin(), idx.end()));
-
-    for (const auto& p : perms) {
       for (std::uint8_t inv = 0; inv < (1u << n); ++inv) {
         // Truth table over 3-var space.
         std::uint8_t tt = 0;
@@ -112,9 +99,8 @@ class PatternTable {
         match.inv_mask = inv;
         match.cost = c.area_um2 + inv_count * inv_area_;
         match.delay_ps = nominal_delay(c) + (inv_count > 0 ? inv_delay_ : 0.0);
-        match.is_complex = n >= 3;
         // Register for every cut size that can host this pattern.
-        for (int cs = max_slot + 1; cs <= 3; ++cs) {
+        for (int cs = max_slot + 1; cs <= kCutSize; ++cs) {
           const PatternKey key = pattern_key(tt, cs);
           const auto it = table_.find(key);
           if (it == table_.end() || match.cost < it->second.cost) {
@@ -122,7 +108,7 @@ class PatternTable {
           }
         }
       }
-    }
+    } while (std::next_permutation(p.begin(), p.end()));
   }
 
   const CellLibrary& lib_;
@@ -132,76 +118,6 @@ class PatternTable {
 };
 
 // ---------------------------------------------------------------------------
-// Cut enumeration.
-// ---------------------------------------------------------------------------
-
-struct Cut {
-  std::array<std::uint32_t, 3> leaves = {0, 0, 0};
-  std::uint8_t size = 0;
-  std::uint8_t tt = 0;  ///< node function over leaves in 3-var space
-
-  [[nodiscard]] bool operator==(const Cut& o) const {
-    return size == o.size &&
-           std::equal(leaves.begin(), leaves.begin() + size, o.leaves.begin());
-  }
-};
-
-/// Merges two leaf sets; returns nullopt if the union exceeds `max_size`.
-std::optional<Cut> merge_cuts(const Cut& a, const Cut& b, int max_size) {
-  Cut out;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < a.size || j < b.size) {
-    std::uint32_t next;
-    if (i < a.size && j < b.size) {
-      if (a.leaves[i] == b.leaves[j]) {
-        next = a.leaves[i];
-        ++i;
-        ++j;
-      } else if (a.leaves[i] < b.leaves[j]) {
-        next = a.leaves[i++];
-      } else {
-        next = b.leaves[j++];
-      }
-    } else if (i < a.size) {
-      next = a.leaves[i++];
-    } else {
-      next = b.leaves[j++];
-    }
-    if (out.size >= max_size) return std::nullopt;
-    out.leaves[out.size++] = next;
-  }
-  return out;
-}
-
-/// Evaluates the cone function of `node` over the cut leaves.
-/// Returns nullopt if the cone is implausibly large (bad cut).
-std::optional<std::uint8_t> cone_tt(const Aig& aig, std::uint32_t node,
-                                    const Cut& cut) {
-  std::unordered_map<std::uint32_t, std::uint8_t> memo;
-  for (std::uint8_t s = 0; s < cut.size; ++s) {
-    memo[cut.leaves[s]] = kVarTt[s];
-  }
-  memo[0] = 0x00;  // constant node
-  int budget = 64;
-  const auto eval = [&](std::uint32_t n, auto&& self) -> std::optional<std::uint8_t> {
-    if (const auto it = memo.find(n); it != memo.end()) return it->second;
-    if (--budget < 0) return std::nullopt;
-    const AigNode& an = aig.node(n);
-    if (an.kind != NodeKind::kAnd) return std::nullopt;  // leaf not in cut
-    const auto t0 = self(lit_node(an.fanin0), self);
-    const auto t1 = self(lit_node(an.fanin1), self);
-    if (!t0 || !t1) return std::nullopt;
-    const std::uint8_t v0 = lit_compl(an.fanin0) ? static_cast<std::uint8_t>(~*t0) : *t0;
-    const std::uint8_t v1 = lit_compl(an.fanin1) ? static_cast<std::uint8_t>(~*t1) : *t1;
-    const std::uint8_t v = v0 & v1;
-    memo[n] = v;
-    return v;
-  };
-  return eval(node, eval);
-}
-
-// ---------------------------------------------------------------------------
 // Mapper.
 // ---------------------------------------------------------------------------
 
@@ -209,7 +125,6 @@ struct NodeChoice {
   Cut cut;
   const Match* pos = nullptr;  ///< match for the node function
   const Match* neg = nullptr;  ///< match for its complement (optional)
-  double cost = 0.0;           ///< DP cost (area flow or arrival)
 };
 
 class Mapper {
@@ -220,7 +135,7 @@ class Mapper {
         lib_(lib),
         opt_(opt),
         stats_(stats),
-        patterns_(lib, opt.use_complex_cells),
+        patterns_(lib),
         netlist_(&lib, "mapped") {}
 
   util::Result<Netlist> run() {
@@ -247,36 +162,20 @@ class Mapper {
 
     // Leaves (inputs/latches/const) have trivial cuts and zero cost.
     for (std::uint32_t n = 0; n < aig_.num_nodes(); ++n) {
-      if (aig_.node(n).kind == NodeKind::kAnd) continue;
-      Cut trivial;
-      trivial.size = 1;
-      trivial.leaves[0] = n;
-      trivial.tt = kVarTt[0];
-      cuts_[n] = {trivial};
+      if (aig_.node(n).kind != NodeKind::kAnd) cuts_[n] = {trivial_cut(n)};
     }
 
     for (std::uint32_t n : aig_.and_nodes_topo()) {
       const AigNode& an = aig_.node(n);
-      const std::uint32_t n0 = lit_node(an.fanin0);
-      const std::uint32_t n1 = lit_node(an.fanin1);
-      std::vector<Cut> cand;
-      for (const Cut& c0 : cuts_[n0]) {
-        for (const Cut& c1 : cuts_[n1]) {
-          auto merged = merge_cuts(c0, c1, opt_.cut_size);
-          if (!merged) continue;
-          const auto tt = cone_tt(aig_, n, *merged);
-          if (!tt) continue;
-          merged->tt = *tt;
-          if (std::find(cand.begin(), cand.end(), *merged) == cand.end()) {
-            cand.push_back(*merged);
-          }
-        }
-      }
+      std::vector<Cut> cand =
+          merge_fanin_cuts(aig_, n, cuts_[lit_node(an.fanin0)],
+                           cuts_[lit_node(an.fanin1)], kCutSize);
       // DP choice over matching cuts.
       NodeChoice best;
       double best_cost = std::numeric_limits<double>::infinity();
       for (const Cut& c : cand) {
-        const Match* pos = patterns_.find(c.tt, c.size);
+        const auto tt = static_cast<std::uint8_t>(c.tt);
+        const Match* pos = patterns_.find(tt, c.size);
         if (pos == nullptr) continue;
         double cost = 0.0;
         if (opt_.objective == MapObjective::kArea) {
@@ -298,8 +197,7 @@ class Mapper {
           best_cost = cost;
           best.cut = c;
           best.pos = pos;
-          best.neg = patterns_.find(static_cast<std::uint8_t>(~c.tt), c.size);
-          best.cost = cost;
+          best.neg = patterns_.find(static_cast<std::uint8_t>(~tt), c.size);
         }
       }
       // The {fanin0, fanin1} cut always matches (AND with inversions), so
@@ -314,17 +212,13 @@ class Mapper {
       std::vector<Cut> kept;
       kept.push_back(best.cut);
       for (const Cut& c : cand) {
-        if (static_cast<int>(kept.size()) >= opt_.cuts_per_node) break;
+        if (kept.size() >= kCutsPerNode) break;
         if (std::find(kept.begin(), kept.end(), c) == kept.end()) {
           kept.push_back(c);
         }
       }
       // Trivial cut so fanouts can treat this node as a leaf.
-      Cut trivial;
-      trivial.size = 1;
-      trivial.leaves[0] = n;
-      trivial.tt = kVarTt[0];
-      kept.push_back(trivial);
+      kept.push_back(trivial_cut(n));
       cuts_[n] = std::move(kept);
     }
   }
@@ -398,7 +292,7 @@ class Mapper {
     const auto cell = netlist_.add_cell(
         "g" + std::to_string(node) + "_" + std::to_string(netlist_.num_cells()),
         static_cast<std::uint32_t>(match.lib_index), std::move(fanin));
-    if (stats_ != nullptr && match.is_complex) ++stats_->complex_cells_used;
+    if (stats_ != nullptr && match.arity >= 3) ++stats_->complex_cells_used;
     return netlist_.cell(cell.value()).output;
   }
 

@@ -51,6 +51,9 @@ class CancelToken {
     return cancel_requested() || deadline_passed();
   }
 
+  /// Identity: both tokens view the same source (or both are null).
+  [[nodiscard]] bool operator==(const CancelToken&) const = default;
+
  private:
   friend class CancelSource;
   explicit CancelToken(std::shared_ptr<internal::CancelState> state)

@@ -51,14 +51,15 @@ TEST(BreakpointControllerTest, ParkInspectResumeHandshake) {
 
   std::atomic<bool> parked_hook{false};
   std::atomic<double> credited_ms{-1.0};
-  ctrl.set_hooks([&] { parked_hook.store(true); },
+  util::CancelSource owner;
+  ctrl.set_hooks(owner.token(), [&] { parked_hook.store(true); },
                  [&](double ms) { credited_ms.store(ms); });
 
   flow::FlowContext ctx;
   ctx.config.seed = 42;
   double parked_ms = -1.0;
   std::thread flow_thread([&] {
-    parked_ms = ctrl.park(ctx, util::CancelToken{});
+    parked_ms = ctrl.park(ctx, owner.token());
   });
 
   ASSERT_TRUE(ctrl.wait_parked(10000.0));
@@ -181,10 +182,9 @@ TEST(BreakpointServerTest, CancelWhileParkedFinalizesAsCancelled) {
 }
 
 TEST(BreakpointServerTest, HooksNeverWriteATerminalRecord) {
-  // Two submissions of one spec share its BreakController, and the later
-  // one installs its hooks over the parked job's. Once that later job is
-  // terminal its record is published, so the parked job's resume must
-  // not append to it.
+  // Two submissions of one spec share its BreakController. Once the later
+  // job is terminal its record is published, so the parked job's resume
+  // must not append to it.
   const auto design =
       std::make_shared<const rtl::Module>(rtl::designs::counter(8));
   auto cfg = open_config(3);
@@ -220,6 +220,43 @@ TEST(BreakpointServerTest, HooksNeverWriteATerminalRecord) {
   for (std::size_t i = 0; i < b_later->flight.size(); ++i) {
     EXPECT_EQ(b_later->flight[i].kind, b_cancelled->flight[i].kind);
   }
+}
+
+TEST(BreakpointServerTest, SharedControllerCreditsTheParkedJob) {
+  // A parks with a deadline shorter than its park; a copy B that shares
+  // A's controller is submitted and cancelled while A waits. A's resume
+  // must still credit A's own deadline and land in A's flight record.
+  const auto design =
+      std::make_shared<const rtl::Module>(rtl::designs::counter(8));
+  auto cfg = open_config(3);
+  cfg.break_after = "place";
+  hub::JobSpec spec = hub::make_flow_job("parked", design, cfg);
+  spec.deadline_ms = 1500.0;
+  hub::JobServer::Options opt;
+  opt.capacity = 1;
+  hub::JobServer srv(opt);
+  const auto a = srv.submit(spec);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(srv.wait_parked(*a, 120000.0));
+
+  hub::JobSpec copy = spec;
+  copy.name = "sharer";
+  const auto b = srv.submit(std::move(copy));
+  ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(srv.cancel(*b));  // still queued: the one worker is parked
+  ASSERT_EQ(srv.wait(*b)->state, hub::JobState::kCancelled);
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(2000));
+  EXPECT_TRUE(srv.resume(*a));
+  const auto rec = srv.wait(*a);
+  ASSERT_TRUE(rec.ok());
+  EXPECT_EQ(rec->state, hub::JobState::kSucceeded) << rec->status.to_string();
+  std::vector<std::string> kinds;
+  for (const hub::FlightEntry& e : rec->flight) {
+    if (e.kind == "park" || e.kind == "resume") kinds.push_back(e.kind);
+  }
+  EXPECT_EQ(kinds, (std::vector<std::string>{"park", "resume"}))
+      << hub::render_flight_record(*rec);
 }
 
 TEST(BreakpointServerTest, DeadlineClockIsSuspendedWhileParked) {

@@ -329,6 +329,9 @@ TEST(FlowGoldenTest, Scale1CatalogMatchesPinnedDigests) {
 // presets x scales 1, 2 and 4) runs once, and the configs whose flow fails
 // or ends with routing overflow or DRC violations must be exactly these.
 // A change that makes one of them legal removes it here; none may be added.
+// The same runs also pin the artifacts at every scale: each config's
+// artifact_and_ppa_digest (its status code, for a failed flow) folds into
+// one digest.
 TEST(FlowRoutabilityTest, IllegalCatalogConfigsAreExactlyTheKnownOnes) {
   const std::vector<std::string> known_illegal = {
       "commercial/s4/fir", "open/s2/mini_cpu", "open/s2/multiplier",
@@ -336,6 +339,7 @@ TEST(FlowRoutabilityTest, IllegalCatalogConfigsAreExactlyTheKnownOnes) {
       "open/s4/sorter4",
   };
   std::vector<std::string> illegal;
+  util::Hasher all;
   std::size_t flows = 0;
   for (const int scale : {1, 2, 4}) {
     for (const Preset& preset : kPresets) {
@@ -344,6 +348,11 @@ TEST(FlowRoutabilityTest, IllegalCatalogConfigsAreExactlyTheKnownOnes) {
       for (const auto& entry : rtl::designs::standard_catalog(scale)) {
         const auto r = run_reference_flow(entry.module, cfg);
         ++flows;
+        if (r.ok()) {
+          all.digest(artifact_and_ppa_digest(*r));
+        } else {
+          all.u8(static_cast<std::uint8_t>(r.status().code()));
+        }
         const bool legal = r.ok() && r->artifacts.routed != nullptr &&
                            r->artifacts.routed->overflowed_edges == 0 &&
                            r->artifacts.drc.violations.empty();
@@ -357,6 +366,9 @@ TEST(FlowRoutabilityTest, IllegalCatalogConfigsAreExactlyTheKnownOnes) {
   EXPECT_EQ(flows, 96u);
   std::sort(illegal.begin(), illegal.end());
   EXPECT_EQ(illegal, known_illegal);
+  const util::Digest got = all.finalize();
+  const util::Digest pinned{0x7976e16b2f1043e9ULL, 0xe514a3421fce7ee2ULL};
+  EXPECT_EQ(got, pinned) << "got " << got.hex() << ", pinned " << pinned.hex();
 }
 
 // --- concurrent flows ------------------------------------------------------

@@ -6,6 +6,7 @@
 #include "eurochip/synth/elaborate.hpp"
 #include "eurochip/synth/lutmap.hpp"
 #include "eurochip/synth/opt.hpp"
+#include "eurochip/util/digest.hpp"
 
 namespace eurochip::synth {
 namespace {
@@ -76,6 +77,39 @@ TEST(LutMapTest, RejectsBadK) {
   EXPECT_FALSE(map_to_luts(*aig, bad).ok());
   bad.k = 9;
   EXPECT_FALSE(map_to_luts(*aig, bad).ok());
+}
+
+// One digest over 64 LUT mappings: the scale-1 and scale-2 catalogs after
+// optimize(2), each at k = 4 and k = 6. It absorbs every LUT's root and
+// inputs and each mapping's depth, so a change to cut enumeration or cut
+// selection that moves any mapping moves it.
+TEST(LutMapTest, CatalogMappingsMatchPinnedDigests) {
+  util::Hasher h;
+  std::size_t mappings = 0;
+  for (const int scale : {1, 2}) {
+    for (const auto& entry : rtl::designs::standard_catalog(scale)) {
+      const auto aig = elaborate(entry.module);
+      ASSERT_TRUE(aig.ok()) << entry.name;
+      const Aig opt = optimize(*aig, 2);
+      for (const int k : {4, 6}) {
+        LutMapOptions options;
+        options.k = k;
+        const auto mapping = map_to_luts(opt, options);
+        ASSERT_TRUE(mapping.ok()) << entry.name << " k=" << k;
+        h.u64(mapping->luts.size());
+        for (const Lut& lut : mapping->luts) {
+          h.u32(lut.root).u64(lut.inputs.size());
+          for (const std::uint32_t leaf : lut.inputs) h.u32(leaf);
+        }
+        h.i64(mapping->depth);
+        ++mappings;
+      }
+    }
+  }
+  EXPECT_EQ(mappings, 64u);
+  const util::Digest got = h.finalize();
+  const util::Digest pinned{0x3fd086da3cc981b7ULL, 0x99fbc88cb182e0cbULL};
+  EXPECT_EQ(got, pinned) << "got " << got.hex() << ", pinned " << pinned.hex();
 }
 
 TEST(LutMapTest, PureRegisterDesignHasZeroLuts) {

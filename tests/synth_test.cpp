@@ -6,6 +6,7 @@
 #include "eurochip/rtl/designs.hpp"
 #include "eurochip/rtl/simulator.hpp"
 #include "eurochip/synth/aig.hpp"
+#include "eurochip/synth/cuts.hpp"
 #include "eurochip/synth/elaborate.hpp"
 #include "eurochip/synth/mapper.hpp"
 #include "eurochip/synth/opt.hpp"
@@ -203,6 +204,101 @@ TEST(OptimizeTest, RewriteAppliesAbsorption) {
   EXPECT_TRUE(random_equivalent(aig, rw, rng));
 }
 
+// --- cut engine --------------------------------------------------------------
+
+/// Every node's cut set, built in topological order: up to kCutsPerNode
+/// merged cuts plus the trivial cut, as both mappers bound them.
+std::vector<std::vector<Cut>> enumerate_cuts(const Aig& aig, int k) {
+  std::vector<std::vector<Cut>> cuts(aig.num_nodes());
+  for (std::uint32_t n = 0; n < aig.num_nodes(); ++n) {
+    if (aig.node(n).kind != NodeKind::kAnd) cuts[n] = {trivial_cut(n)};
+  }
+  for (std::uint32_t n : aig.and_nodes_topo()) {
+    const AigNode& an = aig.node(n);
+    std::vector<Cut> kept = merge_fanin_cuts(
+        aig, n, cuts[lit_node(an.fanin0)], cuts[lit_node(an.fanin1)], k);
+    if (kept.size() > kCutsPerNode) kept.resize(kCutsPerNode);
+    kept.push_back(trivial_cut(n));
+    cuts[n] = std::move(kept);
+  }
+  return cuts;
+}
+
+/// For every cut and each of 64 random patterns (inputs and latch states),
+/// the cut's table indexed by its leaves' simulated bits must equal the
+/// node's simulated bit.
+void expect_cut_functions_match_simulation(const Aig& aig, int k,
+                                           std::uint64_t seed,
+                                           const std::string& label) {
+  const auto cuts = enumerate_cuts(aig, k);
+  util::Rng rng(seed);
+  std::vector<std::uint64_t> in(aig.inputs().size());
+  std::vector<std::uint64_t> state(aig.latches().size());
+  for (std::uint64_t& w : in) w = rng.next();
+  for (std::uint64_t& w : state) w = rng.next();
+  const std::vector<std::uint64_t> sim = aig.simulate(in, state);
+  std::size_t mismatches = 0;
+  for (std::uint32_t n = 0; n < aig.num_nodes(); ++n) {
+    for (const Cut& c : cuts[n]) {
+      ASSERT_LE(c.size, k) << label;
+      ASSERT_TRUE(std::is_sorted(c.leaves.begin(), c.leaves.begin() + c.size))
+          << label;
+      for (unsigned p = 0; p < 64; ++p) {
+        unsigned row = 0;
+        for (std::uint8_t s = 0; s < c.size; ++s) {
+          row |= static_cast<unsigned>((sim[c.leaves[s]] >> p) & 1u) << s;
+        }
+        if (((c.tt >> row) & 1u) != ((sim[n] >> p) & 1u)) ++mismatches;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << label << " k=" << k;
+}
+
+TEST(CutTest, FunctionsAgreeWithSimulationOnTheCatalog) {
+  std::size_t designs = 0;
+  for (const int scale : {1, 2}) {
+    for (const auto& entry : rtl::designs::standard_catalog(scale)) {
+      const auto aig = elaborate(entry.module);
+      ASSERT_TRUE(aig.ok()) << entry.name;
+      const Aig opt = optimize(*aig, 2);
+      const std::string label = entry.name + " s" + std::to_string(scale);
+      for (const int k : {3, 6}) {
+        expect_cut_functions_match_simulation(opt, k, 11 + designs, label);
+      }
+      ++designs;
+    }
+  }
+  EXPECT_EQ(designs, 32u);
+}
+
+TEST(CutTest, FaninThatIsAMergedLeafEntersAsItsVariable) {
+  // x = a & b;  w = x | c;  y = !x & w. The cut {a, b} of x merged with
+  // the cut {c, x} of w gives {a, b, c, x}: x is itself a leaf there, so
+  // the complemented edge into y must read !x from x's own variable, not
+  // !(a & b) from x's cut. Over leaves (a, b, c, x) as variables 0..3,
+  // y = c & !x.
+  Aig aig;
+  const Lit a = aig.add_input("a");
+  const Lit b = aig.add_input("b");
+  const Lit c = aig.add_input("c");
+  const Lit x = aig.and_(a, b);
+  const Lit w = aig.or_(x, c);
+  const Lit y = aig.and_(lit_not(x), w);
+  aig.add_output("y", y);
+  const auto cuts = enumerate_cuts(aig, 6);
+  Cut want;
+  want.leaves = {lit_node(a), lit_node(b), lit_node(c), lit_node(x), 0, 0};
+  want.size = 4;
+  const auto& ys = cuts[lit_node(y)];
+  const auto it = std::find(ys.begin(), ys.end(), want);
+  ASSERT_NE(it, ys.end());
+  EXPECT_EQ(it->tt, 0xF0F0F0F0F0F0F0F0ULL & ~0xFF00FF00FF00FF00ULL);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    expect_cut_functions_match_simulation(aig, 6, seed, "directed");
+  }
+}
+
 // --- mapping ----------------------------------------------------------------
 
 netlist::CellLibrary sky_lib() {
@@ -270,16 +366,19 @@ TEST(MapperTest, ComplexCellsReduceCellCount) {
   ASSERT_TRUE(aig.ok());
   const Aig opt = optimize(*aig, 2);
   const auto lib = sky_lib();
-  MapOptions basic;
-  basic.use_complex_cells = false;
-  MapOptions rich;
-  rich.use_complex_cells = true;
+  // The same cells without any of more than two inputs.
+  netlist::CellLibrary basic_lib(lib.name() + "_basic", lib.node_name(),
+                                 lib.row_height_dbu(), lib.site_width_dbu());
+  for (std::size_t i = 0; i < lib.size(); ++i) {
+    if (lib.cell(i).num_inputs() <= 2) basic_lib.add_cell(lib.cell(i));
+  }
   MapStats s_basic;
   MapStats s_rich;
-  ASSERT_TRUE(map_to_library(opt, lib, basic, &s_basic).ok());
-  ASSERT_TRUE(map_to_library(opt, lib, rich, &s_rich).ok());
-  EXPECT_LT(s_rich.area_um2, s_basic.area_um2);
+  ASSERT_TRUE(map_to_library(opt, basic_lib, {}, &s_basic).ok());
+  ASSERT_TRUE(map_to_library(opt, lib, {}, &s_rich).ok());
+  EXPECT_EQ(s_basic.complex_cells_used, 0u);
   EXPECT_GT(s_rich.complex_cells_used, 0u);
+  EXPECT_LT(s_rich.area_um2, s_basic.area_um2);
 }
 
 TEST(MapperTest, InitOneLatchFoldsPolarity) {
