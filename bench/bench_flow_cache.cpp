@@ -1,21 +1,27 @@
 // BENCH flow_cache — cold vs warm campaign wall-clock with a shared
 // FlowCache (paper Recommendations 4/7).
 //
-// A shared enablement hub resubmits near-identical flow prefixes all day:
-// course cohorts rerun the same designs, PPA sweeps vary one knob. The
-// trace here is 20 jobs = 4 designs x 5 repeats, executed twice on one
-// JobServer: once against an empty cache (cold) and once against the
-// populated cache (warm). The warm pass should be >= 3x faster — every
-// repeated job short-circuits to its cached FlowContext snapshot.
+// A shared enablement hub resubmits near-identical flows all day: course
+// cohorts rerun the same designs, PPA sweeps vary one knob. The trace here
+// is 20 jobs = 4 designs x 5 repeats, executed twice on one JobServer:
+// once against an empty cache (cold) and once against the populated cache
+// (warm). The warm pass should be >= 3x faster — every repeated job
+// restores each of its steps from the cache.
 //
-// Emits BENCH_flow_cache.json with the cold/warm wall-clock, the speedup,
-// and the cache counters mirrored into the server's MetricsRegistry.
+// A cold pass lasts only a few milliseconds, so one pass is at the mercy
+// of the host: each pass is timed as the best of kRepeats, and every cold
+// repeat starts from a fresh cache.
+//
+// Emits BENCH_flow_cache.json with every cold/warm sample, the best of
+// each, the speedup, and the cache counters mirrored into the server's
+// MetricsRegistry (from the last repeat).
 //
 // Note on absolute timing numbers vs earlier baselines: post-layout STA
 // now averages wire RC over ALL metal layers (the router uses the whole
 // stack) instead of the bottom layer only, which lowers routed-net wire
 // delays and thus shifts sta-step outputs slightly; it does not affect
 // the cold/warm comparison, which runs the same model on both sides.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -107,6 +113,17 @@ PassResult run_campaign(const std::vector<TraceJob>& trace,
   return r;
 }
 
+constexpr int kRepeats = 5;
+
+/// Renders `samples` as a JSON array.
+std::string json_array(const std::vector<double>& samples) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    out += (i == 0 ? "" : ", ") + std::to_string(samples[i]);
+  }
+  return out + "]";
+}
+
 }  // namespace
 
 int main() {
@@ -115,26 +132,36 @@ int main() {
   cfg.node = pdk::standard_node("sky130ish").value();
   cfg.quality = flow::FlowQuality::kOpen;
 
-  flow::FlowCache cache;  // default 256 MiB budget, shared by both passes
-
   // Cold: empty cache. Repeats within the trace already hit, so even the
   // cold pass is cheaper than cache-off — the interesting delta is the
   // fully-warm rerun of the identical campaign.
-  const PassResult cold = run_campaign(trace, cfg, cache, "cold");
-  const PassResult warm = run_campaign(trace, cfg, cache, "warm");
-
-  const double speedup = warm.wall_ms > 0 ? cold.wall_ms / warm.wall_ms : 0.0;
-  const auto st = cache.stats();
+  std::vector<double> cold_ms, warm_ms;
+  PassResult cold, warm;
+  flow::FlowCache::Stats st;
+  std::size_t max_bytes = 0;
+  for (int r = 0; r < kRepeats; ++r) {
+    flow::FlowCache cache;  // default 256 MiB budget, fresh per repeat
+    cold = run_campaign(trace, cfg, cache, "cold");
+    warm = run_campaign(trace, cfg, cache, "warm");
+    cold_ms.push_back(cold.wall_ms);
+    warm_ms.push_back(warm.wall_ms);
+    st = cache.stats();
+    max_bytes = cache.max_bytes();
+  }
+  const double best_cold = *std::min_element(cold_ms.begin(), cold_ms.end());
+  const double best_warm = *std::min_element(warm_ms.begin(), warm_ms.end());
+  const double speedup = best_warm > 0 ? best_cold / best_warm : 0.0;
 
   util::Table table("FlowCache campaign: " + std::to_string(trace.size()) +
-                    " jobs (4 designs x 5 repeats), JobServer capacity 4");
+                    " jobs (4 designs x 5 repeats), JobServer capacity 4, "
+                    "best of " + std::to_string(kRepeats));
   table.set_header({"pass", "wall_ms", "job_hits", "cache_hits",
                     "cache_misses", "cache_stores"});
-  table.add_row({"cold", util::fmt(cold.wall_ms, 1),
+  table.add_row({"cold", util::fmt(best_cold, 1),
                  std::to_string(cold.job_cache_hits),
                  std::to_string(cold.hits), std::to_string(cold.misses),
                  std::to_string(cold.stores)});
-  table.add_row({"warm", util::fmt(warm.wall_ms, 1),
+  table.add_row({"warm", util::fmt(best_warm, 1),
                  std::to_string(warm.job_cache_hits),
                  std::to_string(warm.hits), std::to_string(warm.misses),
                  std::to_string(warm.stores)});
@@ -142,14 +169,17 @@ int main() {
   std::printf(
       "warm speedup: %.2fx (resident: %zu entries, %.1f MiB of %.0f MiB)\n",
       speedup, st.entries, static_cast<double>(st.bytes) / (1024.0 * 1024.0),
-      static_cast<double>(cache.max_bytes()) / (1024.0 * 1024.0));
+      static_cast<double>(max_bytes) / (1024.0 * 1024.0));
 
   std::ofstream json("BENCH_flow_cache.json");
   json << "{\n  \"bench\": \"flow_cache\",\n  \"jobs\": " << trace.size()
        << ",\n  \"capacity\": 4"
        << ",\n  \"hardware_threads\": " << std::thread::hardware_concurrency()
-       << ",\n  \"cold_ms\": " << cold.wall_ms
-       << ",\n  \"warm_ms\": " << warm.wall_ms
+       << ",\n  \"repeats\": " << kRepeats
+       << ",\n  \"cold_ms\": " << best_cold
+       << ",\n  \"warm_ms\": " << best_warm
+       << ",\n  \"cold_ms_samples\": " << json_array(cold_ms)
+       << ",\n  \"warm_ms_samples\": " << json_array(warm_ms)
        << ",\n  \"speedup\": " << speedup
        << ",\n  \"cold\": {\"job_cache_hits\": " << cold.job_cache_hits
        << ", \"hits\": " << cold.hits << ", \"misses\": " << cold.misses

@@ -370,13 +370,16 @@ util::Result<QueryResult> answer_from_cache(const Query& q,
   ctx.config.cache = nullptr;
   ctx.config.breakpoint = nullptr;
   ctx.artifacts.design = &design;
-  for (std::size_t i = keys.size(); i-- > 0;) {
-    if (keyable[i] && cache.lookup(keys[i], ctx)) {
-      return answer(q, ctx);
-    }
+  std::size_t restored = 0;
+  while (restored < keys.size() && keyable[restored] &&
+         cache.lookup(keys[restored], ctx)) {
+    ++restored;
   }
-  return util::Status::NotFound("no cached snapshot for design '" +
-                                design.name() + "'");
+  if (restored == 0) {
+    return util::Status::NotFound("no cached step for design '" +
+                                  design.name() + "'");
+  }
+  return answer(q, ctx);
 }
 
 }  // namespace eurochip::dbg

@@ -3,7 +3,7 @@
 // A Query is a small value object naming one question about a flow run;
 // answer() resolves it against a FlowContext — live parked state exposed by
 // a flow breakpoint, the terminal artifacts of a finished run, or a context
-// rebuilt from cache snapshots (answer_from_cache). The resolution chain is
+// rebuilt from cache entries (answer_from_cache). The resolution chain is
 // always the dbg::SymbolTable the flow recorded (symbols.hpp): RTL name ->
 // mapped net/cell -> placed coordinates -> routed geometry -> STA arrivals.
 //
@@ -119,10 +119,10 @@ struct QueryResult {
 /// found=false here — the hub owns those records.
 [[nodiscard]] QueryResult answer(const Query& q, const flow::FlowContext& ctx);
 
-/// Answers `q` from the deepest cache snapshot `cache` holds for
-/// (design, config): recomputes the reference template's key chain, restores
-/// the deepest resident prefix into a scratch context, and answers from it.
-/// NotFound when no prefix is resident.
+/// Answers `q` from the cache entries `cache` holds for (design, config):
+/// recomputes the reference template's step keys, restores the leading run
+/// of resident steps into a scratch context, and answers from it. NotFound
+/// when the first step is not resident.
 [[nodiscard]] util::Result<QueryResult> answer_from_cache(
     const Query& q, const rtl::Module& design, const flow::FlowConfig& config,
     flow::FlowCache& cache);

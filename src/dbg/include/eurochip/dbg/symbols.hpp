@@ -12,9 +12,9 @@
 // Representation follows the SoA netlist: one append-only interned-name
 // arena (netlist::NameRef offsets into it) plus flat vectors indexed by
 // CellId/NetId/port index. The table is plain data — shared immutably by
-// FlowCache snapshots (map/dft/sta extend a copy), serializable as a wire
-// artifact blob (flow/serialize.cpp), and deliberately free of pointers into
-// the netlist so a snapshot restore cannot dangle.
+// FlowCache entries (map/dft/sta extend a copy), serializable as a wire
+// artifact (flow/serialize.cpp), and deliberately free of pointers into
+// the netlist so a cache restore cannot dangle.
 //
 // Invariants (enforced by dbg_test):
 //   * building the table never changes flow artifacts — a run with symbols
@@ -22,7 +22,8 @@
 //   * every vector indexed by CellId/NetId matches the final (post-dft)
 //     netlist's num_cells()/num_nets();
 //   * stage_mask only ever gains bits in flow order (elab -> map -> names
-//     -> sta); a cached prefix restore yields exactly the prefix's bits.
+//     -> sta); restoring a step's cache entry yields exactly the bits of
+//     the steps up to it.
 #pragma once
 
 #include <cstdint>

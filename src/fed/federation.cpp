@@ -781,8 +781,8 @@ void FederatedService::fail_over_locked(
   ref.fed_flight.push_back(
       {now_ms - ref.submit_ms, "failover",
        "hub-" + std::to_string(from) + " -> hub-" + std::to_string(target),
-       "home declared down; resubmitted (same seed, resumes from the "
-       "deepest shared-cache prefix)"});
+       "home declared down; resubmitted (same seed, restores the steps "
+       "in the shared cache)"});
   ++stats_.failed_over;
   reverse_[target][*placed] = id;
   if (ref.cancel_requested && reapply != nullptr) {
@@ -852,7 +852,7 @@ void FederatedService::restart_hub(std::size_t i) {
     }
     reverse_[i].clear();
     // Cold L1 (the crash lost it), warm shared L2: the rebuilt hub's first
-    // jobs fast-forward through whatever prefixes the federation already
+    // jobs fast-forward through whatever steps the federation already
     // computed. The ring keeps the hub masked until the health monitor
     // walks it kDown -> kRejoining -> kUp.
     build_hub_locked(i, epoch);

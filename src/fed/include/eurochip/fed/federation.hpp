@@ -8,7 +8,7 @@
 //     design's jobs always land on the same hub — its L1 FlowCache and
 //     circuit breaker accumulate that design's history;
 //   * a shared second-level cache (RemoteCache wired into every hub's
-//     FlowCache as flow::CacheTier): snapshots computed on one hub are
+//     FlowCache as flow::CacheTier): step entries computed on one hub are
 //     fetched — as verified bytes, over a modeled network — by every
 //     other, so cross-hub duplicate work is only paid once;
 //   * cross-hub work stealing: a background rebalancer moves queued jobs
@@ -22,8 +22,8 @@
 //     probes classify each hub kUp/kSuspect/kDown/kRejoining; a hub
 //     declared down is masked off the ring and its book-kept jobs are
 //     failed over to survivors (queued jobs verbatim, running jobs with
-//     their original seeds, resuming from the deepest snapshot prefix
-//     still in the shared L2); zombie terminals from a declared-dead hub
+//     their original seeds, restoring every step still in the shared
+//     L2); zombie terminals from a declared-dead hub
 //     are fenced so nothing settles twice; a restarted hub rejoins the
 //     ring gradually while the rebalancer backfills it. See DESIGN.md
 //     "Availability & failure domains" for the full protocol, including

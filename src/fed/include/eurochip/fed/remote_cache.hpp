@@ -1,14 +1,13 @@
-// RemoteCache: the federation's shared second-level snapshot store.
+// RemoteCache: the federation's shared second-level entry store.
 //
-// Implements flow::CacheTier over an in-process LRU of byte blobs — per-step
-// manifests and content-addressed artifact blobs (flow/serialize.hpp, wire
-// v4) — standing in for the remote artifact service a multi-site
-// federation would deploy. An artifact shared by many snapshots is stored
-// once, so a hub publishes only the artifacts it computed. Because the tier
-// stores *bytes*, every fetch pays the serialize/deserialize round trip the
-// real network path would, and a hub never aliases another hub's in-memory
-// artifacts through it: a FlowCache reuses only artifacts resident in its
-// own L1.
+// Implements flow::CacheTier over an in-process LRU of byte blobs — one
+// sealed cache entry per step key (flow/serialize.hpp, wire v5) — standing
+// in for the remote artifact service a multi-site federation would deploy.
+// An entry holds only what its step wrote, so a hub publishes only the
+// steps it executed. Because the tier stores *bytes*, every fetch pays the
+// serialize/deserialize round trip the real network path would, and a hub
+// never aliases another hub's in-memory artifacts through it: a fetched
+// entry is decoded against the fetching run's own upstream artifacts.
 //
 // Network-cost model: each fetch/publish is charged
 //     cost_ms = latency_ms + bytes / (1000 * bandwidth_mb_per_s)

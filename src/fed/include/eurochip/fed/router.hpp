@@ -11,7 +11,7 @@
 //
 // Sharding by (node, design) is deliberate: all submissions of one design
 // on one node land on the same hub, so that hub's L1 FlowCache collects
-// the design's step snapshots and its circuit breaker sees the design's
+// the design's step entries and its circuit breaker sees the design's
 // full failure history. Work stealing (federation.hpp) then smooths the
 // load imbalance this locality costs.
 //

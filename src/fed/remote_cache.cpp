@@ -51,7 +51,7 @@ bool RemoteCache::fetch(const util::Digest& key,
   charge_transfer(blob->size());
   *out = *blob;  // copy outside the lock — the wire never aliases storage
   // Fault site "fed.remote.corrupt": flip one byte of the fetched COPY
-  // (storage stays intact), proving the snapshot digest trailer turns
+  // (storage stays intact), proving the entry digest trailer turns
   // wire corruption into a plain miss downstream.
   if (util::FaultInjector* fi = util::FaultInjector::installed()) {
     if (!fi->check("fed.remote.corrupt").ok() && !out->empty()) {

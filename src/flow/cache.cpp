@@ -1,5 +1,8 @@
 #include "eurochip/flow/cache.hpp"
 
+#include <array>
+
+#include "eurochip/flow/serialize.hpp"
 #include "eurochip/util/fault.hpp"
 #include "eurochip/util/trace.hpp"
 
@@ -79,41 +82,46 @@ std::size_t approx_bytes(const drc::DrcReport& d) {
   return total;
 }
 
-std::size_t approx_bytes(const std::vector<StepRecord>& steps) {
-  std::size_t total = 0;
-  for (const StepRecord& s : steps) {
-    total += sizeof(StepRecord) + s.name.size() + s.detail.size();
-  }
-  return total;
+std::size_t approx_bytes(const StepRecord& record) {
+  return sizeof(StepRecord) + record.name.size() + record.detail.size();
 }
 
-/// The upstream object an artifact of `slot` points at (null if none).
-const void* upstream_object(std::size_t slot, const void* artifact) {
-  switch (slot) {
-    case kMappedSlot:
-      return &static_cast<const netlist::Netlist*>(artifact)->library();
-    case kPlacedSlot:
-      return static_cast<const place::PlacedDesign*>(artifact)->netlist;
-    case kRoutedSlot:
-      return static_cast<const route::RoutedDesign*>(artifact)->placed;
-    default: return nullptr;
-  }
+constexpr ArtifactMask kHeapMask = slot_bit(kHeapSlots) - 1;
+
+/// Copies the slots in `mask` from `from` into `to`.
+void copy_slots(const FlowArtifacts& from, ArtifactMask mask,
+                FlowArtifacts& to) {
+  const auto copy = [mask](std::size_t slot, auto& dst, const auto& src) {
+    if (mask & slot_bit(slot)) dst = src;
+  };
+  copy(kLibrarySlot, to.library, from.library);
+  copy(kAigSlot, to.aig, from.aig);
+  copy(kMappedSlot, to.mapped, from.mapped);
+  copy(kPlacedSlot, to.placed, from.placed);
+  copy(kClockTreeSlot, to.clock_tree, from.clock_tree);
+  copy(kRoutedSlot, to.routed, from.routed);
+  copy(kSymbolsSlot, to.symbols, from.symbols);
+  copy(kTimingSlot, to.timing, from.timing);
+  copy(kPowerSlot, to.power, from.power);
+  copy(kDrcSlot, to.drc, from.drc);
+  copy(kGdsSlot, to.gds_bytes, from.gds_bytes);
 }
 
 }  // namespace
 
-// --- Snapshot ------------------------------------------------------------
+// --- Entry ---------------------------------------------------------------
 //
-// The state after one step: shared pointers to the immutable heap
-// artifacts plus copies of the value reports and step records. `design` is
+// What one step wrote: the slots in `held` (its written slots plus the
+// upstream chain of its heap artifacts) and its record. `design` is
 // deliberately NOT captured — the content digest in the key already
 // guarantees the caller's design is equivalent, and holding a borrowed
 // pointer would dangle.
-struct FlowCache::Snapshot {
-  FlowArtifacts artifacts;
-  std::vector<StepRecord> steps;
-  std::array<std::size_t, kArtifactSlots> artifact_bytes{};
-  std::size_t value_bytes = 0;  ///< reports, GDS and step records
+struct FlowCache::Entry {
+  FlowArtifacts artifacts;  ///< the held slots; every other slot is empty
+  ArtifactMask held = 0;
+  StepRecord record;        ///< marked cached, ready to append
+  std::array<std::size_t, kHeapSlots> artifact_bytes{};
+  std::size_t value_bytes = 0;  ///< the entry, its value reports and record
   std::size_t bytes = 0;        ///< stored alone: value_bytes + artifacts
 };
 
@@ -123,29 +131,34 @@ FlowCache::FlowCache(Options options) : options_(options) {}
 
 FlowCache::~FlowCache() = default;
 
-std::shared_ptr<const FlowCache::Snapshot> FlowCache::make_snapshot(
-    FlowArtifacts artifacts, std::vector<StepRecord> steps) {
-  auto snap = std::make_shared<Snapshot>();
-  snap->artifacts = std::move(artifacts);
-  snap->artifacts.design = nullptr;
-  snap->steps = std::move(steps);
-  const FlowArtifacts& a = snap->artifacts;
-  snap->value_bytes = sizeof(Snapshot) + a.gds_bytes.size() +
-                      approx_bytes(snap->steps) + approx_bytes(a.timing) +
-                      approx_bytes(a.drc);
-  snap->bytes = snap->value_bytes;
+std::shared_ptr<const FlowCache::Entry> FlowCache::make_entry(
+    const FlowArtifacts& artifacts, ArtifactMask writes, StepRecord record) {
+  auto entry = std::make_shared<Entry>();
+  // Pin the upstream chain: routed -> placed -> mapped -> library.
+  entry->held = writes;
+  for (std::size_t slot = kHeapSlots; slot-- > 0;) {
+    if ((entry->held & slot_bit(slot)) != 0 &&
+        upstream_slot(slot) != kArtifactSlots) {
+      entry->held |= slot_bit(upstream_slot(slot));
+    }
+  }
+  copy_slots(artifacts, entry->held, entry->artifacts);
+  entry->record = std::move(record);
+  entry->record.cached = true;
+  const FlowArtifacts& a = entry->artifacts;
+  entry->value_bytes = sizeof(Entry) + a.gds_bytes.size() +
+                       approx_bytes(entry->record) + approx_bytes(a.timing) +
+                       approx_bytes(a.drc);
+  entry->bytes = entry->value_bytes;
   for_each_artifact(a, [&](std::size_t slot, const auto& p) {
-    if (p) snap->bytes += snap->artifact_bytes[slot] = approx_bytes(*p);
+    if (p) entry->bytes += entry->artifact_bytes[slot] = approx_bytes(*p);
   });
-  return snap;
+  return entry;
 }
 
-void FlowCache::restore(const Snapshot& snap, FlowContext& ctx) {
-  const rtl::Module* design = ctx.artifacts.design;
-  ctx.artifacts = snap.artifacts;
-  ctx.artifacts.design = design;
-  ctx.steps = snap.steps;
-  for (StepRecord& rec : ctx.steps) rec.cached = true;
+void FlowCache::restore(const Entry& entry, FlowContext& ctx) {
+  copy_slots(entry.artifacts, entry.held, ctx.artifacts);
+  ctx.steps.push_back(entry.record);
 }
 
 bool FlowCache::lookup(const util::Digest& key, FlowContext& ctx) {
@@ -162,13 +175,13 @@ bool FlowCache::lookup(const util::Digest& key, FlowContext& ctx) {
       return false;
     }
   }
-  std::shared_ptr<const Snapshot> snap;
+  std::shared_ptr<const Entry> entry;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = index_.find(key);
     if (it != index_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      snap = it->second.snapshot;
+      entry = it->second.entry;
       ++hits_;
     } else if (options_.second_level == nullptr) {
       ++misses_;
@@ -177,101 +190,63 @@ bool FlowCache::lookup(const util::Digest& key, FlowContext& ctx) {
     }
   }
   // Local miss: try the second-level tier outside the lock.
-  const bool remote = snap == nullptr;
-  if (remote && (snap = fetch_remote(key, span)) == nullptr) return false;
+  const bool remote = entry == nullptr;
+  if (remote && (entry = fetch_remote(key, ctx, span)) == nullptr) return false;
   if (span.active()) {
     if (remote) {
       span.annotate("hit", std::string("remote"));
     } else {
       span.annotate("hit", true);
     }
-    span.annotate("bytes", static_cast<std::uint64_t>(snap->bytes));
+    span.annotate("bytes", static_cast<std::uint64_t>(entry->bytes));
   }
-  // Pointer copies outside the lock; `snap` keeps the entry alive even if a
-  // concurrent store evicts it.
-  restore(*snap, ctx);
+  // Pointer copies outside the lock; `entry` keeps the entry alive even if
+  // a concurrent store evicts it.
+  restore(*entry, ctx);
   return true;
 }
 
-std::shared_ptr<const FlowCache::Snapshot> FlowCache::fetch_remote(
-    const util::Digest& key, util::trace::Span& span) {
-  CacheTier& tier = *options_.second_level;
+std::shared_ptr<const FlowCache::Entry> FlowCache::fetch_remote(
+    const util::Digest& key, const FlowContext& ctx, util::trace::Span& span) {
   std::vector<std::uint8_t> bytes;
-  if (!tier.fetch(key, &bytes)) {
+  if (!options_.second_level->fetch(key, &bytes)) {
     std::lock_guard<std::mutex> lock(mu_);
     ++misses_;
     if (span.active()) span.annotate("hit", false);
     return nullptr;
   }
-  // The tier is an optimization, never trusted: a manifest or blob that is
-  // missing or fails to verify or decode degrades to a miss.
-  FlowContext tmp;
-  ArtifactAddresses addresses{};
-  util::Status status = deserialize_manifest(bytes, tmp, addresses);
-  // Reuse resident artifacts by address, dependents first, so that a
-  // reused chain (routed -> placed -> mapped -> library) stays one chain.
-  std::array<std::shared_ptr<const void>, kArtifactSlots> local;
-  if (status.ok()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t slot = kArtifactSlots; slot-- > 0;) {
-      if (addresses[slot] == util::Digest{}) continue;
-      const void* want = nullptr;
-      for (std::size_t d = slot + 1; d < kArtifactSlots; ++d) {
-        if (upstream_slot(d) == slot && local[d]) {
-          want = upstream_object(d, local[d].get());
-        }
-      }
-      if (const auto a = by_address_.find(addresses[slot]);
-          want == nullptr && a != by_address_.end()) {
-        want = a->second;
-      }
-      const auto r = resident_.find(want);
-      if (r != resident_.end() && r->second.address == addresses[slot]) {
-        local[slot] = r->second.object;
-      }
-    }
-  }
-  // Fetch the rest, each verified against its address and wired to the
-  // upstream artifact already chosen. got[kArtifactSlots] stays null.
-  std::array<const void*, kArtifactSlots + 1> got{};
-  for_each_artifact(tmp.artifacts, [&](std::size_t slot, auto& p) {
-    if (!status.ok() || addresses[slot] == util::Digest{}) return;
-    using T = typename std::decay_t<decltype(p)>::element_type;
-    if (local[slot] && upstream_object(slot, local[slot].get()) ==
-                           got[upstream_slot(slot)]) {
-      p = std::static_pointer_cast<T>(local[slot]);
-    } else {
-      std::vector<std::uint8_t> blob;
-      status = tier.fetch(addresses[slot], &blob)
-                   ? read_artifact_blob(slot, blob, addresses, tmp.artifacts)
-                   : util::Status::NotFound("artifact blob missing");
-    }
-    got[slot] = p.get();
-  });
-  if (!status.ok()) {
+  // The tier is an optimization, never trusted: an entry that fails to
+  // verify or decode degrades to a miss. Written artifacts are wired to
+  // the upstream artifacts the caller holds, which the key pins.
+  FlowArtifacts artifacts;
+  copy_slots(ctx.artifacts, kHeapMask, artifacts);
+  ArtifactMask writes = 0;
+  StepRecord record;
+  if (!deserialize_entry(key, bytes, artifacts, writes, record).ok()) {
     std::lock_guard<std::mutex> lock(mu_);
     ++remote_errors_;
     ++misses_;
     if (span.active()) span.annotate("hit", std::string("remote-error"));
     return nullptr;
   }
-  std::shared_ptr<const Snapshot> snap =
-      make_snapshot(std::move(tmp.artifacts), std::move(tmp.steps));
+  std::shared_ptr<const Entry> entry =
+      make_entry(artifacts, writes, std::move(record));
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++remote_hits_;
   }
   // Re-admit locally so the next lookup skips the network. admit_local
   // does not publish back — the tier just served these bytes.
-  admit_local(key, snap, &addresses);
-  return snap;
+  admit_local(key, entry);
+  return entry;
 }
 
-void FlowCache::store(const util::Digest& key, const FlowContext& ctx) {
+void FlowCache::store(const util::Digest& key, const FlowContext& ctx,
+                      ArtifactMask writes) {
   util::trace::Span span;
   if (util::trace::enabled()) span.begin("cache.store", "flow.cache");
   // Fault site "flowcache.store": a status fault skips admission — the
-  // flow stays correct, only future lookups lose the snapshot.
+  // flow stays correct, only future lookups lose the entry.
   if (util::FaultInjector* fi = util::FaultInjector::installed()) {
     if (!fi->check("flowcache.store").ok()) {
       if (span.active()) span.annotate("admitted", std::string("degraded-skip"));
@@ -287,96 +262,54 @@ void FlowCache::store(const util::Digest& key, const FlowContext& ctx) {
       return;
     }
   }
-  // Snapshot outside the lock. A racing store of the same key is resolved
-  // in admit_local: first writer wins.
-  std::shared_ptr<const Snapshot> snap = make_snapshot(ctx.artifacts, ctx.steps);
-  const bool over_budget = snap->bytes > options_.max_bytes;
+  // Build the entry outside the lock. A racing store of the same key is
+  // resolved in admit_local: first writer wins.
+  std::shared_ptr<const Entry> entry = make_entry(
+      ctx.artifacts, writes, ctx.steps.empty() ? StepRecord{} : ctx.steps.back());
+  const bool over_budget = entry->bytes > options_.max_bytes;
   if (span.active()) {
-    span.annotate("bytes", static_cast<std::uint64_t>(snap->bytes));
+    span.annotate("bytes", static_cast<std::uint64_t>(entry->bytes));
     if (over_budget) {
       span.annotate("admitted", std::string("over-budget"));
     } else {
       span.annotate("admitted", true);
     }
   }
-  if (!over_budget) admit_local(key, snap, nullptr);
+  if (!over_budget) admit_local(key, entry);
   // Publish to the second-level tier even when over the local budget: the
   // tier has its own (typically larger) budget and serves every peer.
-  if (options_.second_level != nullptr) publish(key, *snap);
-}
-
-void FlowCache::publish(const util::Digest& key, const Snapshot& snap) {
-  CacheTier& tier = *options_.second_level;
-  // Addresses already known for resident artifacts skip serialization.
-  ArtifactAddresses addresses{};
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for_each_artifact(snap.artifacts, [&](std::size_t slot, const auto& p) {
-      const auto it = p ? resident_.find(p.get()) : resident_.end();
-      if (it != resident_.end() && it->second.address) {
-        addresses[slot] = *it->second.address;
-      }
-    });
-  }
-  bool learned = false;
-  for_each_artifact(snap.artifacts, [&](std::size_t slot, const auto& p) {
-    if (!p) return;
-    std::vector<std::uint8_t> blob;
-    if (addresses[slot] == util::Digest{}) {
-      blob = artifact_blob(snap.artifacts, slot);
-      addresses[slot] = artifact_address(slot, blob, addresses);
-      learned = true;
-    }
-    if (tier.contains(addresses[slot])) return;
-    if (blob.empty()) blob = artifact_blob(snap.artifacts, slot);
-    tier.publish(addresses[slot], blob);
-  });
-  if (learned) {
-    std::lock_guard<std::mutex> lock(mu_);
-    remember_addresses_locked(snap.artifacts, addresses);
-  }
-  if (!tier.contains(key)) {
-    tier.publish(key, serialize_manifest(snap.artifacts, snap.steps, addresses));
+  CacheTier* tier = options_.second_level;
+  if (tier != nullptr && !tier->contains(key)) {
+    tier->publish(key, serialize_entry(key, entry->artifacts, writes,
+                                       entry->record));
   }
 }
 
 void FlowCache::admit_local(const util::Digest& key,
-                            std::shared_ptr<const Snapshot> snap,
-                            const ArtifactAddresses* addresses) {
-  if (snap->bytes > options_.max_bytes) return;  // would evict everything
+                            std::shared_ptr<const Entry> entry) {
+  if (entry->bytes > options_.max_bytes) return;  // would evict everything
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = index_.find(key);
   if (it != index_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second.lru_it);
     return;
   }
-  // Charge the snapshot's own values, plus each artifact no resident
-  // snapshot holds yet.
-  bytes_ += snap->value_bytes;
-  for_each_artifact(snap->artifacts, [&](std::size_t slot, const auto& p) {
+  // Charge the entry's own values, plus each artifact no resident entry
+  // holds yet.
+  bytes_ += entry->value_bytes;
+  for_each_artifact(entry->artifacts, [&](std::size_t slot, const auto& p) {
     if (!p) return;
     Resident& r = resident_[p.get()];
-    if (r.snapshots++ == 0) {
+    if (r.entries++ == 0) {
       r.object = p;
-      r.bytes = snap->artifact_bytes[slot];
+      r.bytes = entry->artifact_bytes[slot];
       bytes_ += r.bytes;
     }
   });
-  if (addresses != nullptr) remember_addresses_locked(snap->artifacts, *addresses);
   lru_.push_front(key);
-  index_.emplace(key, Entry{lru_.begin(), std::move(snap)});
+  index_.emplace(key, Indexed{lru_.begin(), std::move(entry)});
   ++stores_;
   evict_to_budget_locked();
-}
-
-void FlowCache::remember_addresses_locked(const FlowArtifacts& a,
-                                          const ArtifactAddresses& addresses) {
-  for_each_artifact(a, [&](std::size_t slot, const auto& p) {
-    const auto it = p ? resident_.find(p.get()) : resident_.end();
-    if (it == resident_.end() || it->second.address) return;
-    it->second.address = addresses[slot];
-    by_address_.emplace(addresses[slot], p.get());
-  });
 }
 
 void FlowCache::evict_to_budget_locked() {
@@ -384,17 +317,13 @@ void FlowCache::evict_to_budget_locked() {
     const auto it = index_.find(lru_.back());
     lru_.pop_back();
     if (it == index_.end()) continue;
-    // Release the snapshot's values, and each artifact it held last.
-    const Snapshot& snap = *it->second.snapshot;
-    bytes_ -= snap.value_bytes;
-    for_each_artifact(snap.artifacts, [&](std::size_t, const auto& p) {
+    // Release the entry's values, and each artifact it held last.
+    const Entry& entry = *it->second.entry;
+    bytes_ -= entry.value_bytes;
+    for_each_artifact(entry.artifacts, [&](std::size_t, const auto& p) {
       const auto r = p ? resident_.find(p.get()) : resident_.end();
-      if (r == resident_.end() || --r->second.snapshots > 0) return;
+      if (r == resident_.end() || --r->second.entries > 0) return;
       bytes_ -= r->second.bytes;
-      if (r->second.address) {
-        const auto a = by_address_.find(*r->second.address);
-        if (a != by_address_.end() && a->second == p.get()) by_address_.erase(a);
-      }
       resident_.erase(r);
     });
     index_.erase(it);
@@ -412,7 +341,6 @@ void FlowCache::clear() {
   index_.clear();
   lru_.clear();
   resident_.clear();
-  by_address_.clear();
   bytes_ = 0;
 }
 

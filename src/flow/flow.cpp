@@ -1,6 +1,7 @@
 #include "eurochip/flow/flow.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <unordered_map>
@@ -101,6 +102,50 @@ util::Status rewrite_gds_file(const std::vector<std::uint8_t>& bytes,
   return util::Status::Ok();
 }
 
+/// Executes one step: the cancel, deadline and fault-site checks, then the
+/// step itself under its span, recording its runtime.
+util::Status run_step(const FlowStep& step, FlowContext& ctx) {
+  if (ctx.config.cancel.cancel_requested()) {
+    return util::Status::Cancelled("flow cancelled before step '" +
+                                   step.name + "'");
+  }
+  if (ctx.config.cancel.deadline_passed()) {
+    return util::Status::DeadlineExceeded(
+        "flow deadline passed before step '" + step.name + "'");
+  }
+  // Fault site "flow.step.<name>": a status fault fails the step (and thus
+  // the run) exactly like an engine failure would; a kThrow fault models a
+  // programming error escaping the step.
+  if (util::FaultInjector* fi = util::FaultInjector::installed()) {
+    if (util::Status fs = fi->check("flow.step." + step.name); !fs.ok()) {
+      return util::Status(fs.code(),
+                          "flow step '" + step.name + "': " + fs.message());
+    }
+  }
+  // One span per executed step (restored steps appear as cache.lookup
+  // spans instead). The kernel spans the step opens nest underneath it.
+  util::trace::Span step_span;
+  if (util::trace::enabled()) step_span.begin("step:" + step.name, "flow.step");
+  const auto t0 = std::chrono::steady_clock::now();
+  util::Status s = step.run(ctx);
+  const auto t1 = std::chrono::steady_clock::now();
+  const double runtime_ms =
+      std::chrono::duration<double, std::milli>(t1 - t0).count();
+  if (!ctx.steps.empty() && ctx.steps.back().name == step.name) {
+    // Step appended its own detail record; merge the timing in.
+    ctx.steps.back().runtime_ms = runtime_ms;
+  } else {
+    ctx.steps.push_back(StepRecord{step.name, runtime_ms, "", false});
+  }
+  if (step_span.active()) step_span.annotate("detail", ctx.steps.back().detail);
+  if (!s.ok()) {
+    if (step_span.active()) step_span.annotate("error", s.message());
+    return util::Status(s.code(),
+                        "flow step '" + step.name + "': " + s.message());
+  }
+  return util::Status::Ok();
+}
+
 }  // namespace
 
 util::Result<FlowResult> FlowTemplate::execute(const rtl::Module& design,
@@ -108,6 +153,7 @@ util::Result<FlowResult> FlowTemplate::execute(const rtl::Module& design,
   FlowContext ctx;
   ctx.config = std::move(config);
   ctx.artifacts.design = &design;
+  ctx.steps.reserve(steps_.size());
 
   // Root span of this run. On a hub worker it nests under the job span via
   // the worker's ContextScope; standalone runs root their own tree.
@@ -121,118 +167,31 @@ util::Result<FlowResult> FlowTemplate::execute(const rtl::Module& design,
 
   const auto t_start = std::chrono::steady_clock::now();
 
-  // Content-addressed step keys: keys[i] digests everything that can
-  // influence the flow state after step i — the upstream chain (which
-  // transitively covers the design and node digests in the base), the step
-  // name, and the step's stage-relevant config knobs. A step without a
-  // fingerprint breaks the chain: it and all downstream steps get no key.
+  // One pass: a keyable step whose entry the cache holds is restored, any
+  // other step runs and stores its entry (see cache.hpp for the keys).
   FlowCache* cache = ctx.config.cache;
-  std::vector<util::Digest> keys(steps_.size());
+  std::vector<util::Digest> keys;
   std::vector<bool> keyable(steps_.size(), false);
-  std::size_t resume_from = 0;
-  if (cache != nullptr && !steps_.empty()) {
-    step_keys(design, ctx.config, &keys, &keyable);
-    // Deepest matching prefix wins; a hit restores artifacts + records.
-    {
-      util::trace::Span probe_span;
-      if (util::trace::enabled()) {
-        probe_span.begin("cache.probe", "flow.cache");
-      }
-      for (std::size_t i = steps_.size(); i-- > 0;) {
-        if (keyable[i] && cache->lookup(keys[i], ctx)) {
-          resume_from = i + 1;
-          break;
+  if (cache != nullptr) step_keys(design, ctx.config, &keys, &keyable);
+  std::size_t restored = 0;
+  for (std::size_t i = 0; i < steps_.size(); ++i) {
+    const FlowStep& step = steps_[i];
+    if (keyable[i] && cache->lookup(keys[i], ctx)) {
+      ++restored;
+      if ((step.writes & slot_bit(kGdsSlot)) != 0 &&
+          !ctx.config.gds_output_path.empty()) {
+        if (util::Status s = rewrite_gds_file(ctx.artifacts.gds_bytes,
+                                              ctx.config.gds_output_path);
+            !s.ok()) {
+          return s;
         }
       }
-      if (probe_span.active()) {
-        probe_span.annotate("hit", resume_from > 0);
-        probe_span.annotate("resume_depth",
-                            static_cast<std::uint64_t>(resume_from));
-        if (resume_from > 0) {
-          probe_span.annotate("resumed_at", steps_[resume_from - 1].name);
-        }
-      }
-    }
-    if (resume_from > 0 && !ctx.config.gds_output_path.empty() &&
-        !ctx.artifacts.gds_bytes.empty()) {
-      // The restored prefix reached the gds step (gds_bytes only exist
-      // after it); keep its on-disk side effect alive.
-      if (util::Status s = rewrite_gds_file(ctx.artifacts.gds_bytes,
-                                            ctx.config.gds_output_path);
-          !s.ok()) {
-        return s;
-      }
-    }
-  }
-
-  // A restored prefix that already covers the break step still honors the
-  // breakpoint: park on the restored context so inspectors see the same
-  // post-step state a cold run would expose.
-  if (ctx.config.breakpoint && !ctx.config.break_after.empty()) {
-    for (std::size_t i = 0; i < resume_from; ++i) {
-      if (steps_[i].name == ctx.config.break_after) {
-        ctx.config.breakpoint->park(ctx, ctx.config.cancel);
-        if (ctx.config.cancel.cancel_requested()) {
-          return util::Status::Cancelled("flow cancelled at breakpoint '" +
-                                         ctx.config.break_after + "'");
-        }
-        break;
-      }
-    }
-  }
-
-  for (std::size_t step_index = resume_from; step_index < steps_.size();
-       ++step_index) {
-    const FlowStep& step = steps_[step_index];
-    if (ctx.config.cancel.cancel_requested()) {
-      return util::Status::Cancelled("flow cancelled before step '" +
-                                     step.name + "'");
-    }
-    if (ctx.config.cancel.deadline_passed()) {
-      return util::Status::DeadlineExceeded(
-          "flow deadline passed before step '" + step.name + "'");
-    }
-    // Fault site "flow.step.<name>": a status fault fails the step (and
-    // thus the run) exactly like an engine failure would; a kThrow fault
-    // models a programming error escaping the step.
-    if (util::FaultInjector* fi = util::FaultInjector::installed()) {
-      if (util::Status fs = fi->check("flow.step." + step.name); !fs.ok()) {
-        return util::Status(
-            fs.code(), "flow step '" + step.name + "': " + fs.message());
-      }
-    }
-    // One span per executed step (cached steps are skipped entirely and
-    // appear as the probe span's resume_depth instead). The kernel spans
-    // the step opens nest underneath it.
-    util::trace::Span step_span;
-    if (util::trace::enabled()) {
-      step_span.begin("step:" + step.name, "flow.step");
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    util::Status s = step.run(ctx);
-    const auto t1 = std::chrono::steady_clock::now();
-    StepRecord rec;
-    rec.name = step.name;
-    rec.runtime_ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    if (!ctx.steps.empty() && ctx.steps.back().name == step.name) {
-      // Step appended its own detail record; merge the timing in.
-      ctx.steps.back().runtime_ms = rec.runtime_ms;
     } else {
-      ctx.steps.push_back(rec);
+      if (util::Status s = run_step(step, ctx); !s.ok()) return s;
+      if (keyable[i]) cache->store(keys[i], ctx, step.writes);
     }
-    if (step_span.active() && !ctx.steps.empty() &&
-        ctx.steps.back().name == step.name) {
-      step_span.annotate("detail", ctx.steps.back().detail);
-    }
-    if (!s.ok()) {
-      if (step_span.active()) step_span.annotate("error", s.message());
-      return util::Status(s.code(),
-                          "flow step '" + step.name + "': " + s.message());
-    }
-    if (cache != nullptr && keyable[step_index]) {
-      cache->store(keys[step_index], ctx);
-    }
+    // Parking sees the same post-step state whether the step ran or was
+    // restored.
     if (ctx.config.breakpoint && step.name == ctx.config.break_after) {
       ctx.config.breakpoint->park(ctx, ctx.config.cancel);
       if (ctx.config.cancel.cancel_requested()) {
@@ -243,12 +202,12 @@ util::Result<FlowResult> FlowTemplate::execute(const rtl::Module& design,
   }
   const auto t_end = std::chrono::steady_clock::now();
   if (flow_span.active()) {
-    flow_span.annotate("cache_hits", static_cast<std::uint64_t>(resume_from));
+    flow_span.annotate("cache_hits", static_cast<std::uint64_t>(restored));
   }
 
   FlowResult result;
   result.steps = std::move(ctx.steps);
-  result.cache_hits = resume_from;
+  result.cache_hits = restored;
   result.total_runtime_ms =
       std::chrono::duration<double, std::milli>(t_end - t_start).count();
 
@@ -284,18 +243,26 @@ void FlowTemplate::step_keys(const rtl::Module& design,
   keyable->assign(steps_.size(), false);
   if (steps_.empty()) return;
   util::Hasher base;
-  base.str("eurochip.flowcache.v1");
+  base.str("eurochip.flowcache.v2");
   base.digest(digest_of(design));
   base.digest(digest_of(config.node));
-  util::Digest chain = base.finalize();
+  const util::Digest root = base.finalize();
+  // writer[slot]: the key of the step that last wrote the slot.
+  std::array<util::Digest, kArtifactSlots> writer{};
   for (std::size_t i = 0; i < steps_.size(); ++i) {
-    if (!steps_[i].fingerprint) break;
+    const FlowStep& step = steps_[i];
+    if (!step.fingerprint) break;
     util::Hasher h;
-    h.digest(chain).str(steps_[i].name);
-    steps_[i].fingerprint(config, h);
-    chain = h.finalize();
-    (*keys)[i] = chain;
+    h.digest(root).str(step.name);
+    step.fingerprint(config, h);
+    for (std::size_t slot = 0; slot < kArtifactSlots; ++slot) {
+      if ((step.reads & slot_bit(slot)) != 0) h.digest(writer[slot]);
+    }
+    (*keys)[i] = h.finalize();
     (*keyable)[i] = true;
+    for (std::size_t slot = 0; slot < kArtifactSlots; ++slot) {
+      if ((step.writes & slot_bit(slot)) != 0) writer[slot] = (*keys)[i];
+    }
   }
 }
 
@@ -306,12 +273,13 @@ std::size_t FlowTemplate::cached_prefix_depth(const rtl::Module& design,
   std::vector<bool> keyable;
   step_keys(design, config, &keys, &keyable);
   const CacheTier* tier = cache.second_level();
-  for (std::size_t i = steps_.size(); i-- > 0;) {
-    if (!keyable[i]) continue;
-    if (cache.contains(keys[i])) return i + 1;
-    if (tier != nullptr && tier->contains(keys[i])) return i + 1;
+  std::size_t depth = 0;
+  while (depth < steps_.size() && keyable[depth] &&
+         (cache.contains(keys[depth]) ||
+          (tier != nullptr && tier->contains(keys[depth])))) {
+    ++depth;
   }
-  return 0;
+  return depth;
 }
 
 namespace {
@@ -329,8 +297,8 @@ void append_detail(FlowContext& ctx, const std::string& name,
 // Each recorder is a pure overlay: it reads the artifacts the step just
 // produced and never writes back, so a run with symbols is bit-identical
 // to one without. Recording is deterministic (fixed iteration orders), so
-// cache snapshots of the same prefix carry identical tables. The table is
-// shared with cache snapshots, so map/dft/sta extend a copy and publish it.
+// cache entries under the same key carry identical tables. The table is
+// shared with cache entries, so map/dft/sta extend a copy and publish it.
 
 /// elaborate: the RTL declarations, straight from the design.
 void record_rtl_symbols(FlowContext& ctx) {
@@ -605,7 +573,7 @@ util::Status step_dft(FlowContext& ctx) {
     return util::Status::Ok();
   }
   // Scan insertion edits a copy: the mapped netlist may be shared with
-  // cache snapshots.
+  // cache entries.
   auto scanned = std::make_shared<netlist::Netlist>(*ctx.artifacts.mapped);
   synth::ScanStats stats;
   if (util::Status s = synth::insert_scan_chain(
@@ -643,7 +611,7 @@ util::Status step_place(FlowContext& ctx) {
 }
 
 util::Status step_cts(FlowContext& ctx) {
-  if (!ctx.artifacts.placed) {
+  if (!ctx.artifacts.placed || !ctx.artifacts.mapped) {
     return util::Status::FailedPrecondition("cts requires place");
   }
   if (ctx.artifacts.mapped->sequential_cells().empty()) {
@@ -757,7 +725,8 @@ util::Status step_gds(FlowContext& ctx) {
 //
 // Each fingerprint absorbs exactly the FlowConfig knobs its step consumes
 // (the design and node digests are already in the base key; upstream
-// artifacts are covered transitively by the key chain). Over-inclusion
+// artifacts enter through the keys of the steps that wrote the step's
+// declared reads). Over-inclusion
 // would only cost hit rate; under-inclusion would serve stale artifacts —
 // when in doubt a knob is included. FlowConfig::threads is read by no
 // step, so no fingerprint absorbs it.
@@ -793,7 +762,7 @@ void fp_route(const FlowConfig& c, util::Hasher& h) {
 }
 
 void fp_sta(const FlowConfig& c, util::Hasher& h) {
-  // Skew comes from the in-flow clock tree, already covered by the chain.
+  // Skew comes from the clock tree, which sta declares as a read.
   h.f64(c.effective_clock_ps());
 }
 
@@ -810,19 +779,31 @@ void fp_gds(const FlowConfig& c, util::Hasher& h) {
 }  // namespace
 
 FlowTemplate reference_template() {
+  constexpr ArtifactMask library = slot_bit(kLibrarySlot);
+  constexpr ArtifactMask aig = slot_bit(kAigSlot);
+  constexpr ArtifactMask mapped = slot_bit(kMappedSlot);
+  constexpr ArtifactMask placed = slot_bit(kPlacedSlot);
+  constexpr ArtifactMask clock_tree = slot_bit(kClockTreeSlot);
+  constexpr ArtifactMask routed = slot_bit(kRoutedSlot);
+  constexpr ArtifactMask symbols = slot_bit(kSymbolsSlot);
   FlowTemplate t("rtl-to-gds");
-  t.add_step({"library", step_library, fp_const});
-  t.add_step({"elaborate", step_elaborate, fp_const});
-  t.add_step({"synth", step_synth, fp_synth});
-  t.add_step({"map", step_map, fp_map});
-  t.add_step({"dft", step_dft, fp_dft});
-  t.add_step({"place", step_place, fp_place});
-  t.add_step({"cts", step_cts, fp_const});
-  t.add_step({"route", step_route, fp_route});
-  t.add_step({"sta", step_sta, fp_sta});
-  t.add_step({"power", step_power, fp_power});
-  t.add_step({"drc", step_drc, fp_const});
-  t.add_step({"gds", step_gds, fp_gds});
+  // {name, run, fingerprint, reads, writes}
+  t.add_step({"library", step_library, fp_const, 0, library});
+  t.add_step({"elaborate", step_elaborate, fp_const, 0, aig | symbols});
+  t.add_step({"synth", step_synth, fp_synth, aig, aig});
+  t.add_step({"map", step_map, fp_map, aig | library | symbols,
+              mapped | symbols});
+  t.add_step({"dft", step_dft, fp_dft, mapped | library | symbols,
+              mapped | symbols});
+  t.add_step({"place", step_place, fp_place, mapped, placed});
+  t.add_step({"cts", step_cts, fp_const, placed | mapped, clock_tree});
+  t.add_step({"route", step_route, fp_route, placed, routed});
+  t.add_step({"sta", step_sta, fp_sta, mapped | clock_tree | routed | symbols,
+              slot_bit(kTimingSlot) | symbols});
+  t.add_step({"power", step_power, fp_power, mapped | routed,
+              slot_bit(kPowerSlot)});
+  t.add_step({"drc", step_drc, fp_const, placed | routed, slot_bit(kDrcSlot)});
+  t.add_step({"gds", step_gds, fp_gds, placed, slot_bit(kGdsSlot)});
   return t;
 }
 

@@ -1,62 +1,61 @@
 // FlowCache: a thread-safe, content-addressed, byte-budgeted (LRU) cache
-// of per-stage flow artifacts, shared by all hub::JobServer workers.
+// of flow step results, shared by all hub::JobServer workers.
 //
 // Motivation (paper Recommendations 4/7): a shared enablement hub runs the
 // same flow templates over and over — campaigns, PPA sweeps, tiered-access
-// traces resubmit identical stage prefixes hundreds of times. Instead of
+// traces resubmit near-identical flows hundreds of times. Instead of
 // recomputing RTL->GDSII from scratch per job, FlowTemplate::execute keys
-// every step with a stable digest chain
+// every step by what it reads (FlowStep::reads):
 //
-//   key_0   = H(design digest, node digest)
-//   key_i   = H(key_{i-1}, step name, stage-relevant FlowConfig knobs)
+//   base  = H(design digest, node digest)
+//   key_i = H(base, step name, stage-relevant FlowConfig knobs,
+//             key of the last writer of each slot step i reads)
 //
-// and consults the cache deepest-prefix-first: a hit restores the cached
-// FlowContext snapshot and execution resumes at the first stale step.
-// After each completed step the post-step snapshot is stored under that
-// step's key.
+// and walks the steps once: a step whose key the cache holds is restored,
+// any other step runs and stores its entry. So a knob change reruns only
+// the steps that read, directly or through an artifact, what it changed —
+// a power-only variant reruns power alone.
 //
-// Snapshots share artifacts: the heap artifacts of FlowArtifacts are
-// immutable (shared_ptr<const T>), so a snapshot is a copy of their
-// pointers plus the value reports and step records, and store and restore
-// copy pointers, not artifacts. A restored run that changes an artifact
-// builds a new one (see flow.hpp), so nothing a snapshot points at is ever
-// written.
+// One entry per executed step: the slots the step wrote (FlowStep::writes),
+// the upstream artifacts those point into (mapped -> library, placed ->
+// mapped -> library, routed -> placed -> mapped -> library), and the
+// step's record. The heap artifacts are immutable (shared_ptr<const T>),
+// so store and restore copy pointers, not artifacts, and a restored run
+// that changes an artifact builds a new one (see flow.hpp). Holding the
+// upstream chain keeps an entry valid on its own: evicting the entry that
+// wrote the netlist cannot free the netlist a resident placement points
+// at, and a restore installs the chain with the artifact.
 //
 // Thread-safety: all public methods are safe from any thread. One mutex
-// guards the index/LRU list and the resident-artifact table; snapshots are
-// immutable once stored (shared_ptr<const Snapshot>), so a restore copies
-// pointers out of a snapshot that eviction cannot free under it.
+// guards the index/LRU list and the resident-artifact table; entries are
+// immutable once stored (shared_ptr<const Entry>), so a restore copies
+// pointers out of an entry that eviction cannot free under it.
 //
 // Eviction: strict LRU over an approximate byte budget (Options::max_bytes,
 // sized via approx_bytes estimates of the artifact containers). Each
-// distinct artifact is charged once, however many snapshots share it, and
-// its bytes are released when the last snapshot holding it is evicted. A
-// snapshot larger than the whole budget is not admitted. Keys are 128-bit
-// content digests (util::Digest); collisions are cache-poisoning, not
-// correctness hazards the design accepts silently — at 128 bits they are
-// negligible.
+// distinct artifact is charged once, however many entries hold it, and its
+// bytes are released when the last entry holding it is evicted. An entry
+// larger than the whole budget is not admitted. Keys are 128-bit content
+// digests (util::Digest); collisions are cache-poisoning, not correctness
+// hazards the design accepts silently — at 128 bits they are negligible.
 #pragma once
 
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 
 #include "eurochip/flow/flow.hpp"
-#include "eurochip/flow/serialize.hpp"
 #include "eurochip/util/digest.hpp"
 #include "eurochip/util/trace.hpp"
 
 namespace eurochip::flow {
 
-/// A second-level snapshot store behind a FlowCache — in a federation, the
-/// remote cache tier shared by all hubs (fed::RemoteCache). It holds two
-/// kinds of value (serialize.hpp): a manifest under each step key (the same
-/// content digests as the L1), and one blob per artifact under the
-/// artifact's content address. Implementations must be safe to call from
-/// any thread.
+/// A second-level entry store behind a FlowCache — in a federation, the
+/// remote cache tier shared by all hubs (fed::RemoteCache). It holds one
+/// sealed value per step key (serialize.hpp), under the same digests as
+/// the L1. Implementations must be safe to call from any thread.
 ///
 /// The contract is deliberately lossy: fetch() may miss for any reason
 /// (eviction, network fault, corruption) and publish() is fire-and-forget —
@@ -85,24 +84,23 @@ class CacheTier {
 class FlowCache {
  public:
   struct Options {
-    /// Approximate cap on resident snapshot bytes. LRU entries are evicted
+    /// Approximate cap on resident entry bytes. LRU entries are evicted
     /// until the estimate fits.
     std::size_t max_bytes = 256u << 20;
     /// Optional second-level tier (borrowed; must outlive the cache). On a
-    /// local miss, lookup() fetches the key's manifest, reuses the
-    /// artifacts it names that are resident here, fetches and verifies the
-    /// rest, and re-admits the snapshot locally. store() publishes the
-    /// artifacts the tier lacks, then the manifest. A manifest or blob
-    /// that is missing or fails to verify or decode (truncation,
-    /// corruption, version skew) counts as remote_errors and degrades to a
-    /// plain miss.
+    /// local miss, lookup() fetches the key's entry, decodes it against
+    /// the caller's upstream artifacts and re-admits it locally. store()
+    /// publishes the entry when the tier lacks the key. An entry that
+    /// fails to verify or decode (truncation, corruption, version skew, a
+    /// value served under another key) counts as remote_errors and
+    /// degrades to a plain miss.
     CacheTier* second_level = nullptr;
   };
 
   struct Stats {
     std::uint64_t hits = 0;        ///< lookup() found the key locally
     std::uint64_t misses = 0;      ///< lookup() probes that found nothing
-    std::uint64_t stores = 0;      ///< snapshots admitted
+    std::uint64_t stores = 0;      ///< entries admitted
     std::uint64_t evictions = 0;   ///< entries dropped for the byte budget
     std::uint64_t remote_hits = 0;    ///< misses rescued by second_level
     std::uint64_t remote_errors = 0;  ///< tier bytes that failed to decode
@@ -117,16 +115,21 @@ class FlowCache {
   FlowCache(const FlowCache&) = delete;
   FlowCache& operator=(const FlowCache&) = delete;
 
-  /// On hit, copies the stored snapshot into `ctx` (artifact pointers,
-  /// value reports and step records; `ctx.artifacts.design` is left
-  /// untouched) and returns true. On miss returns false and leaves `ctx`
-  /// unchanged.
+  /// On hit, restores the step stored under `key` into `ctx`: its heap
+  /// artifacts and their upstream chain (a written slot the step left
+  /// null comes back null), its written value reports, and its record,
+  /// appended to ctx.steps with `cached` set. A fetch from the second
+  /// level decodes against ctx's upstream artifacts. On miss returns false
+  /// and leaves `ctx` unchanged.
   bool lookup(const util::Digest& key, FlowContext& ctx);
 
-  /// Admits a snapshot of `ctx` under `key`, sharing its artifacts. No-op
-  /// (LRU touch only) if the key is already present; no-op if the snapshot
-  /// alone exceeds the byte budget.
-  void store(const util::Digest& key, const FlowContext& ctx);
+  /// Admits the entry of the step that just ran on `ctx`: the `writes`
+  /// slots of ctx.artifacts, the upstream artifacts they point into, and
+  /// the step's record (ctx.steps.back()). No-op (LRU touch only) if the
+  /// key is already present; not admitted locally if the entry alone
+  /// exceeds the byte budget.
+  void store(const util::Digest& key, const FlowContext& ctx,
+             ArtifactMask writes);
 
   /// True if `key` is resident (no LRU touch, no restore).
   [[nodiscard]] bool contains(const util::Digest& key) const;
@@ -142,55 +145,45 @@ class FlowCache {
   [[nodiscard]] std::size_t max_bytes() const { return options_.max_bytes; }
 
  private:
-  struct Snapshot;
-  /// One heap artifact held by resident snapshots, keyed by its address in
+  struct Entry;
+  /// One heap artifact held by resident entries, keyed by its address in
   /// memory and charged to the budget once.
   struct Resident {
     std::shared_ptr<const void> object;
     std::size_t bytes = 0;
-    std::size_t snapshots = 0;  ///< resident snapshots that hold it
-    std::optional<util::Digest> address;  ///< L2 address, once known
+    std::size_t entries = 0;  ///< resident entries that hold it
   };
 
-  /// Wraps artifact pointers and step records in a sized snapshot.
-  static std::shared_ptr<const Snapshot> make_snapshot(
-      FlowArtifacts artifacts, std::vector<StepRecord> steps);
-  static void restore(const Snapshot& snap, FlowContext& ctx);
+  /// Wraps the written slots of `artifacts`, their upstream chain and
+  /// `record` in a sized entry.
+  static std::shared_ptr<const Entry> make_entry(const FlowArtifacts& artifacts,
+                                                 ArtifactMask writes,
+                                                 StepRecord record);
+  static void restore(const Entry& entry, FlowContext& ctx);
 
-  /// Rebuilds the snapshot stored under `key` from the second-level tier;
-  /// null (counted, and annotated on `span`) on a miss or a remote error.
-  std::shared_ptr<const Snapshot> fetch_remote(const util::Digest& key,
-                                               util::trace::Span& span);
+  /// Rebuilds the entry stored under `key` from the second-level tier,
+  /// decoded against the upstream artifacts of `ctx`; null (counted, and
+  /// annotated on `span`) on a miss or a remote error.
+  std::shared_ptr<const Entry> fetch_remote(const util::Digest& key,
+                                            const FlowContext& ctx,
+                                            util::trace::Span& span);
 
-  /// Publishes `snap` to the second-level tier: the artifacts it lacks,
-  /// then the manifest under `key`.
-  void publish(const util::Digest& key, const Snapshot& snap);
-
-  /// Admits an already-built snapshot under the L1 policy (presence check,
-  /// budget check, LRU insert), recording `addresses` (may be null) for
-  /// its artifacts. Shared by store() and the L2 re-admission path; does
-  /// NOT publish to second_level.
-  void admit_local(const util::Digest& key,
-                   std::shared_ptr<const Snapshot> snap,
-                   const ArtifactAddresses* addresses);
-
-  /// Records the L2 address of each resident artifact of `a` that has none.
-  void remember_addresses_locked(const FlowArtifacts& a,
-                                 const ArtifactAddresses& addresses);
+  /// Admits an already-built entry under the L1 policy (presence check,
+  /// budget check, LRU insert). Shared by store() and the L2 re-admission
+  /// path; does NOT publish to second_level.
+  void admit_local(const util::Digest& key, std::shared_ptr<const Entry> entry);
   void evict_to_budget_locked();
 
   Options options_;
   mutable std::mutex mu_;
   /// MRU at front. The map owns iterators into this list.
   std::list<util::Digest> lru_;
-  struct Entry {
+  struct Indexed {
     std::list<util::Digest>::iterator lru_it;
-    std::shared_ptr<const Snapshot> snapshot;
+    std::shared_ptr<const Entry> entry;
   };
-  std::unordered_map<util::Digest, Entry, util::DigestHash> index_;
+  std::unordered_map<util::Digest, Indexed, util::DigestHash> index_;
   std::unordered_map<const void*, Resident> resident_;
-  /// L2 address -> one resident artifact stored under it.
-  std::unordered_map<util::Digest, const void*, util::DigestHash> by_address_;
   std::size_t bytes_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

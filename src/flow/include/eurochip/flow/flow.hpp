@@ -37,6 +37,8 @@
 // from running many flows at once — see DESIGN.md "Execution model".
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -95,14 +97,14 @@ struct FlowConfig {
   /// surfaces as ErrorCode::kCancelled, a passed deadline as
   /// ErrorCode::kDeadlineExceeded.
   util::CancelToken cancel;
-  /// Optional shared per-stage artifact cache (borrowed; must outlive the
-  /// run). When set, execute() resumes from the deepest cached stage whose
-  /// content key matches and stores a snapshot after each completed step.
-  /// Safe to share across concurrent runs — see cache.hpp.
+  /// Optional shared per-step artifact cache (borrowed; must outlive the
+  /// run). When set, execute() restores each step whose key the cache holds
+  /// and stores an entry for each step it executes. Safe to share across
+  /// concurrent runs — see cache.hpp.
   FlowCache* cache = nullptr;
   /// Flow breakpoint: when `break_after` names a step and `breakpoint` is
-  /// set, execute() parks on the controller after that step completes (or
-  /// immediately after a cache restore that already covers it) and blocks
+  /// set, execute() parks on the controller after that step completes
+  /// (executed or restored from the cache) and blocks
   /// until BreakController::resume() or cancellation. While parked the
   /// deadline clock is suspended — see breakpoint.hpp. Parking changes
   /// WHEN the flow finishes, never its artifacts, and neither knob enters
@@ -138,13 +140,51 @@ struct StepRecord {
   std::string name;
   double runtime_ms = 0.0;
   std::string detail;
-  /// True when the step was satisfied from a FlowCache snapshot instead of
+  /// True when the step was restored from a FlowCache entry instead of
   /// being executed; runtime_ms then reflects the original run.
   bool cached = false;
 };
 
+/// The slots of FlowArtifacts a step reads and writes: the seven heap
+/// artifacts in dependency order, then the four value reports.
+enum ArtifactSlot : std::size_t {
+  kLibrarySlot,
+  kAigSlot,
+  kMappedSlot,
+  kPlacedSlot,
+  kClockTreeSlot,
+  kRoutedSlot,
+  kSymbolsSlot,
+  kTimingSlot,
+  kPowerSlot,
+  kDrcSlot,
+  kGdsSlot,
+  kArtifactSlots
+};
+
+/// Slots below this one hold shared heap artifacts; the rest hold values.
+inline constexpr std::size_t kHeapSlots = kTimingSlot;
+
+/// A set of slots, one bit per ArtifactSlot.
+using ArtifactMask = std::uint16_t;
+
+[[nodiscard]] constexpr ArtifactMask slot_bit(std::size_t slot) {
+  return static_cast<ArtifactMask>(1u << slot);
+}
+
+/// The slot whose artifact `slot` points into (mapped -> library, placed
+/// -> mapped, routed -> placed); kArtifactSlots for the rest.
+[[nodiscard]] constexpr std::size_t upstream_slot(std::size_t slot) {
+  switch (slot) {
+    case kMappedSlot: return kLibrarySlot;
+    case kPlacedSlot: return kMappedSlot;
+    case kRoutedSlot: return kPlacedSlot;
+    default: return kArtifactSlots;
+  }
+}
+
 /// All intermediate artifacts. The heap artifacts are immutable once a
-/// step publishes them and are shared by pointer: a FlowCache snapshot, a
+/// step publishes them and are shared by pointer: a FlowCache entry, a
 /// restored run and the run that built them all hold the same objects. A
 /// step that changes an upstream artifact builds a new one (copying first
 /// where it edits) and replaces the pointer; it never writes through it.
@@ -169,13 +209,26 @@ struct FlowArtifacts {
   std::shared_ptr<const dbg::SymbolTable> symbols;
 };
 
+/// Calls f(slot, member) for each heap-artifact pointer of `a`, in slot
+/// order, so an upstream artifact is always visited before its dependents.
+template <typename Artifacts, typename F>
+void for_each_artifact(Artifacts& a, F&& f) {
+  f(kLibrarySlot, a.library);
+  f(kAigSlot, a.aig);
+  f(kMappedSlot, a.mapped);
+  f(kPlacedSlot, a.placed);
+  f(kClockTreeSlot, a.clock_tree);
+  f(kRoutedSlot, a.routed);
+  f(kSymbolsSlot, a.symbols);
+}
+
 struct FlowResult {
   PpaReport ppa;
   std::vector<StepRecord> steps;
   FlowArtifacts artifacts;
   double total_runtime_ms = 0.0;
-  /// Number of leading steps restored from FlowConfig::cache (0 when no
-  /// cache was attached or nothing matched).
+  /// Number of steps restored from FlowConfig::cache (0 when no cache was
+  /// attached or nothing matched).
   std::size_t cache_hits = 0;
 };
 
@@ -191,11 +244,17 @@ struct FlowStep {
   std::string name;
   std::function<util::Status(FlowContext&)> run;
   /// Cache fingerprint: absorbs the stage-relevant FlowConfig knobs into
-  /// `h` (the design/node digests and the upstream chain are added by
-  /// execute()). Steps without a fingerprint — custom steps added via
-  /// add_step/replace_step — are never cached, and neither is anything
-  /// downstream of them (their effect on later stages is unknown).
+  /// `h` (the design/node digests and the keys of the steps that wrote
+  /// `reads` are added by step_keys()). Steps without a fingerprint —
+  /// custom steps added via add_step/replace_step — are never cached, and
+  /// neither is any step after them (their effect on later stages is
+  /// unknown).
   std::function<void(const FlowConfig&, util::Hasher&)> fingerprint;
+  /// The slots `run` reads and writes, fixed by what its code touches (the
+  /// design and node enter every key, so no step lists them). A cached
+  /// step's entry holds exactly its `writes`.
+  ArtifactMask reads = 0;
+  ArtifactMask writes = 0;
 };
 
 /// An ordered, editable step list (Recommendation 4's "template").
@@ -221,20 +280,21 @@ class FlowTemplate {
   util::Result<FlowResult> execute(const rtl::Module& design,
                                    FlowConfig config) const;
 
-  /// Recomputes the content-addressed cache-key chain execute() would use
-  /// for (design, config): keys[i] digests everything influencing the flow
-  /// state after step i. Exposed so callers can probe resumability without
-  /// running anything. Both outputs are resized to steps().size();
-  /// keyable[i] is false from the first fingerprint-less step onwards.
+  /// Recomputes the cache keys execute() would use for (design, config):
+  /// keys[i] digests the design, the node, step i's name and knobs, and
+  /// the keys of the steps that last wrote what step i reads. Exposed so
+  /// callers can probe resumability without running anything. Both
+  /// outputs are resized to steps().size(); keyable[i] is false from the
+  /// first fingerprint-less step onwards.
   void step_keys(const rtl::Module& design, const FlowConfig& config,
                  std::vector<util::Digest>* keys,
                  std::vector<bool>* keyable) const;
 
-  /// How many leading steps of a (design, config) run could resume from
-  /// `cache` — counting its second-level tier — without executing
-  /// anything: the depth of the deepest resident prefix snapshot. The
-  /// federation uses it to measure how far a failed-over job fast-forwards
-  /// on its new hub (cold L1, warm shared L2) before real work starts.
+  /// How many leading steps of a (design, config) run `cache` — counting
+  /// its second-level tier — holds, so that a run restores them without
+  /// executing anything. The federation uses it to measure how far a
+  /// failed-over job fast-forwards on its new hub (cold L1, warm shared
+  /// L2) before real work starts.
   [[nodiscard]] std::size_t cached_prefix_depth(const rtl::Module& design,
                                                 const FlowConfig& config,
                                                 const FlowCache& cache) const;

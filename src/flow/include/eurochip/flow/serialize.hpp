@@ -1,18 +1,14 @@
 // Wire-format (de)serialization of flow artifacts — the exchange format
 // the federated second-level cache (fed::RemoteCache) stores in.
 //
-// In memory a FlowCache snapshot shares its artifacts by pointer; across
-// hubs they travel as bytes (util::WireWriter, little-endian). The L2 holds
-// two kinds of value:
-//   * an artifact blob: one heap artifact's encoding, stored under its
-//     content address H(version, slot, blob, address of the artifact it
-//     points at), so equal artifacts are stored once and a reader can
-//     verify a blob against the address it asked for;
-//   * a manifest, stored under a step key: a magic/version header, the
-//     addresses of the snapshot's artifacts, the value reports and step
-//     records, and a util::Digest trailer over the payload.
-// Reading rewires the cross-references (mapped -> library, placed ->
-// mapped, routed -> placed) to the artifacts the reader already holds.
+// In memory a FlowCache entry shares its artifacts by pointer; across hubs
+// it travels as bytes (util::WireWriter, little-endian). The L2 holds one
+// value per step key: that step's cache entry, i.e. the slots the step
+// wrote and its step record, sealed with a digest trailer over the key
+// and the payload. Reading wires each decoded artifact's cross-reference
+// (mapped -> library, placed -> mapped, routed -> placed) to the upstream
+// artifact the reader already holds, which the step key guarantees is
+// the one the writer read.
 //
 // Determinism contract: serializing equal artifacts yields equal bytes,
 // and a deserialized artifact is indistinguishable from the original to
@@ -23,10 +19,9 @@
 // a miss.
 //
 // The per-type functions are exposed so tests can round-trip each artifact
-// in isolation; the artifact-blob functions below are built on them.
+// in isolation; the entry functions below are built on them.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -41,8 +36,9 @@ namespace eurochip::flow {
 /// hubs forward without poisoning the shared cache).
 inline constexpr std::uint32_t kWireMagic = 0x53464345u;  // "ECFS" LE
 /// v2: SoA netlist image; v3: routed geometry + dbg::SymbolTable;
-/// v4: content-addressed artifact blobs plus per-step manifests.
-inline constexpr std::uint32_t kWireVersion = 4;
+/// v4: content-addressed artifact blobs plus per-step manifests;
+/// v5: one sealed entry per step key, holding what the step wrote.
+inline constexpr std::uint32_t kWireVersion = 5;
 
 // --- per-artifact encoders ------------------------------------------------
 
@@ -90,9 +86,8 @@ void serialize(util::WireWriter& w, const drc::DrcReport& d);
 [[nodiscard]] util::Result<drc::DrcReport> deserialize_drc(
     util::WireReader& r);
 
-void serialize(util::WireWriter& w, const std::vector<StepRecord>& steps);
-[[nodiscard]] util::Result<std::vector<StepRecord>> deserialize_steps(
-    util::WireReader& r);
+void serialize(util::WireWriter& w, const StepRecord& step);
+[[nodiscard]] util::Result<StepRecord> deserialize_step(util::WireReader& r);
 
 void serialize(util::WireWriter& w, const dbg::SymbolTable& sym);
 /// Every NameRef is validated against the shipped arena, so a corrupt
@@ -100,67 +95,24 @@ void serialize(util::WireWriter& w, const dbg::SymbolTable& sym);
 [[nodiscard]] util::Result<dbg::SymbolTable> deserialize_symbols(
     util::WireReader& r);
 
-// --- content-addressed snapshots (what RemoteCache stores) ---------------
+// --- cache entries (what RemoteCache stores) -----------------------------
 
-/// The heap artifacts of FlowArtifacts, in manifest order.
-enum ArtifactSlot : std::size_t {
-  kLibrarySlot,
-  kAigSlot,
-  kMappedSlot,
-  kPlacedSlot,
-  kClockTreeSlot,
-  kRoutedSlot,
-  kSymbolsSlot,
-  kArtifactSlots
-};
+/// One FlowCache entry on the wire, stored under its step key: a header
+/// (magic, version, `writes`), each written heap artifact as a presence
+/// flag plus its encoding, the written value reports, `record`, and a
+/// trailer H(key, payload), so an entry served under another key fails to
+/// verify.
+[[nodiscard]] std::vector<std::uint8_t> serialize_entry(
+    const util::Digest& key, const FlowArtifacts& artifacts,
+    ArtifactMask writes, const StepRecord& record);
 
-/// One content address per slot; a zero Digest marks an absent artifact.
-using ArtifactAddresses = std::array<util::Digest, kArtifactSlots>;
-
-/// Calls f(slot, member) for each heap-artifact pointer of `a`, in slot
-/// order, so an upstream artifact is always visited before its dependents.
-template <typename Artifacts, typename F>
-void for_each_artifact(Artifacts& a, F&& f) {
-  f(kLibrarySlot, a.library);
-  f(kAigSlot, a.aig);
-  f(kMappedSlot, a.mapped);
-  f(kPlacedSlot, a.placed);
-  f(kClockTreeSlot, a.clock_tree);
-  f(kRoutedSlot, a.routed);
-  f(kSymbolsSlot, a.symbols);
-}
-
-/// The slot whose artifact `slot` points into (mapped -> library, placed
-/// -> mapped, routed -> placed); kArtifactSlots for the rest.
-[[nodiscard]] std::size_t upstream_slot(std::size_t slot);
-
-/// The encoding of artifact `slot` of `a`, which must be set.
-[[nodiscard]] std::vector<std::uint8_t> artifact_blob(const FlowArtifacts& a,
-                                                      std::size_t slot);
-
-/// H(version, slot, blob, addresses[upstream_slot(slot)]): the address the
-/// blob is stored under.
-[[nodiscard]] util::Digest artifact_address(
-    std::size_t slot, const std::vector<std::uint8_t>& blob,
-    const ArtifactAddresses& addresses);
-
-/// Checks `blob` against addresses[slot], then decodes it into slot `slot`
-/// of `a`, wired to the upstream artifact `a` already holds.
-[[nodiscard]] util::Status read_artifact_blob(
-    std::size_t slot, const std::vector<std::uint8_t>& blob,
-    const ArtifactAddresses& addresses, FlowArtifacts& a);
-
-/// The manifest of a snapshot: `addresses`, the value reports of
-/// `artifacts`, and `steps`, sealed with a digest trailer.
-[[nodiscard]] std::vector<std::uint8_t> serialize_manifest(
-    const FlowArtifacts& artifacts, const std::vector<StepRecord>& steps,
-    const ArtifactAddresses& addresses);
-
-/// Verifies the trailer and header, then fills `addresses`, the value
-/// reports of ctx.artifacts and ctx.steps (heap artifacts are untouched).
-/// On any error the outputs may be partial and must be discarded.
-[[nodiscard]] util::Status deserialize_manifest(
-    const std::vector<std::uint8_t>& bytes, FlowContext& ctx,
-    ArtifactAddresses& addresses);
+/// Verifies `bytes` against `key`, then decodes the written slots into
+/// `artifacts` (a heap artifact that points upstream is wired to the
+/// upstream artifact `artifacts` already holds) and `record`, and sets
+/// `writes`. On any error the outputs may be partial and must be
+/// discarded.
+[[nodiscard]] util::Status deserialize_entry(
+    const util::Digest& key, const std::vector<std::uint8_t>& bytes,
+    FlowArtifacts& artifacts, ArtifactMask& writes, StepRecord& record);
 
 }  // namespace eurochip::flow

@@ -563,19 +563,14 @@ util::Result<drc::DrcReport> deserialize_drc(util::WireReader& r) {
   return d;
 }
 
-void serialize(util::WireWriter& w, const std::vector<StepRecord>& steps) {
-  w.size(steps.size());
-  for (const StepRecord& s : steps) {
-    w.str(s.name).f64(s.runtime_ms).str(s.detail).boolean(s.cached);
-  }
+void serialize(util::WireWriter& w, const StepRecord& step) {
+  w.str(step.name).f64(step.runtime_ms).str(step.detail).boolean(step.cached);
 }
 
-util::Result<std::vector<StepRecord>> deserialize_steps(util::WireReader& r) {
-  std::vector<StepRecord> steps = read_seq(r, [&r] {
-    return StepRecord{r.str(), r.f64(), r.str(), r.boolean()};
-  });
-  if (!r.ok()) return bad("truncated step records");
-  return steps;
+util::Result<StepRecord> deserialize_step(util::WireReader& r) {
+  StepRecord step{r.str(), r.f64(), r.str(), r.boolean()};
+  if (!r.ok()) return bad("truncated step record");
+  return step;
 }
 
 // --- SymbolTable ----------------------------------------------------------
@@ -679,7 +674,7 @@ util::Result<dbg::SymbolTable> deserialize_symbols(util::WireReader& r) {
   return sym;
 }
 
-// --- content-addressed snapshots (wire v4) --------------------------------
+// --- cache entries (wire v5) ----------------------------------------------
 
 namespace {
 
@@ -696,46 +691,9 @@ util::Status adopt(util::Result<T> value, Out& out) {
   return util::Status::Ok();
 }
 
-}  // namespace
-
-std::size_t upstream_slot(std::size_t slot) {
-  switch (slot) {
-    case kMappedSlot: return kLibrarySlot;
-    case kPlacedSlot: return kMappedSlot;
-    case kRoutedSlot: return kPlacedSlot;
-    default: return kArtifactSlots;
-  }
-}
-
-std::vector<std::uint8_t> artifact_blob(const FlowArtifacts& a,
-                                        std::size_t slot) {
-  util::WireWriter w;
-  for_each_artifact(a, [&](std::size_t s, const auto& p) {
-    if (s == slot) serialize(w, *p);
-  });
-  return w.take();
-}
-
-util::Digest artifact_address(std::size_t slot,
-                              const std::vector<std::uint8_t>& blob,
-                              const ArtifactAddresses& addresses) {
-  util::Hasher h;
-  h.u32(kWireMagic).u32(kWireVersion).u64(slot).u64(blob.size());
-  h.bytes(blob.data(), blob.size());
-  if (upstream_slot(slot) != kArtifactSlots) {
-    h.digest(addresses[upstream_slot(slot)]);
-  }
-  return h.finalize();
-}
-
-util::Status read_artifact_blob(std::size_t slot,
-                                const std::vector<std::uint8_t>& blob,
-                                const ArtifactAddresses& addresses,
-                                FlowArtifacts& a) {
-  if (!(artifact_address(slot, blob, addresses) == addresses[slot])) {
-    return bad("artifact blob does not match its address");
-  }
-  util::WireReader r(blob);
+/// Decodes slot `slot` into `a`, wired to the upstream artifact `a` holds.
+util::Status read_slot(util::WireReader& r, std::size_t slot,
+                       FlowArtifacts& a) {
   switch (slot) {
     case kLibrarySlot: return adopt(deserialize_library(r), a.library);
     case kAigSlot: return adopt(deserialize_aig(r), a.aig);
@@ -747,52 +705,79 @@ util::Status read_artifact_blob(std::size_t slot,
     case kRoutedSlot:
       return adopt(deserialize_routed(r, a.placed.get()), a.routed);
     case kSymbolsSlot: return adopt(deserialize_symbols(r), a.symbols);
+    case kTimingSlot: return adopt(deserialize_timing(r), a.timing);
+    case kPowerSlot: return adopt(deserialize_power(r), a.power);
+    case kDrcSlot: return adopt(deserialize_drc(r), a.drc);
+    case kGdsSlot:
+      a.gds_bytes = r.blob();
+      return r.ok() ? util::Status::Ok() : bad("truncated GDS stream");
     default: return bad("unknown artifact slot");
   }
 }
 
-std::vector<std::uint8_t> serialize_manifest(
-    const FlowArtifacts& artifacts, const std::vector<StepRecord>& steps,
-    const ArtifactAddresses& addresses) {
+/// The trailer that seals an entry's payload to its key.
+util::Digest seal(const util::Digest& key, const std::uint8_t* payload,
+                  std::size_t size) {
+  util::Hasher h;
+  h.digest(key).bytes(payload, size);
+  return h.finalize();
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> serialize_entry(const util::Digest& key,
+                                          const FlowArtifacts& artifacts,
+                                          ArtifactMask writes,
+                                          const StepRecord& record) {
   util::WireWriter w;
-  w.u32(kWireMagic).u32(kWireVersion);
-  for (const util::Digest& d : addresses) w.u64(d.hi).u64(d.lo);
-  serialize(w, artifacts.timing);
-  serialize(w, artifacts.power);
-  serialize(w, artifacts.drc);
-  w.blob(artifacts.gds_bytes);
-  serialize(w, steps);
+  w.u32(kWireMagic).u32(kWireVersion).u32(writes);
+  for_each_artifact(artifacts, [&](std::size_t slot, const auto& p) {
+    if ((writes & slot_bit(slot)) == 0) return;
+    w.boolean(p != nullptr);
+    if (p) serialize(w, *p);
+  });
+  if (writes & slot_bit(kTimingSlot)) serialize(w, artifacts.timing);
+  if (writes & slot_bit(kPowerSlot)) serialize(w, artifacts.power);
+  if (writes & slot_bit(kDrcSlot)) serialize(w, artifacts.drc);
+  if (writes & slot_bit(kGdsSlot)) w.blob(artifacts.gds_bytes);
+  serialize(w, record);
   // Self-verification trailer: the transfer path (a remote cache, someday
   // a real network) is the one place bytes can rot undetected.
-  util::Hasher h;
-  h.bytes(w.buffer().data(), w.buffer().size());
-  const util::Digest d = h.finalize();
+  const util::Digest d = seal(key, w.buffer().data(), w.buffer().size());
   w.u64(d.hi).u64(d.lo);
   return w.take();
 }
 
-util::Status deserialize_manifest(const std::vector<std::uint8_t>& bytes,
-                                  FlowContext& ctx,
-                                  ArtifactAddresses& addresses) {
-  if (bytes.size() < 16 + 8 + 1) return bad("manifest too short");
+util::Status deserialize_entry(const util::Digest& key,
+                               const std::vector<std::uint8_t>& bytes,
+                               FlowArtifacts& artifacts, ArtifactMask& writes,
+                               StepRecord& record) {
+  if (bytes.size() < 16) return bad("entry too short");
   const std::size_t payload_size = bytes.size() - 16;
-  util::Hasher h;
-  h.bytes(bytes.data(), payload_size);
   util::WireReader trailer(bytes.data() + payload_size, 16);
   const util::Digest stored{trailer.u64(), trailer.u64()};
-  if (!(h.finalize() == stored)) return bad("manifest digest mismatch");
-
+  if (!(seal(key, bytes.data(), payload_size) == stored)) {
+    return bad("entry does not match its key");
+  }
   util::WireReader r(bytes.data(), payload_size);
-  if (r.u32() != kWireMagic) return bad("bad manifest magic");
-  if (r.u32() != kWireVersion) return bad("unsupported manifest version");
-  for (util::Digest& d : addresses) d = util::Digest{r.u64(), r.u64()};
-  FlowArtifacts& a = ctx.artifacts;
-  util::Status st = adopt(deserialize_timing(r), a.timing);
-  if (st.ok()) st = adopt(deserialize_power(r), a.power);
-  if (st.ok()) st = adopt(deserialize_drc(r), a.drc);
-  a.gds_bytes = r.blob();
-  if (st.ok()) st = adopt(deserialize_steps(r), ctx.steps);
-  if (st.ok() && r.remaining() != 0) st = bad("trailing bytes in manifest");
+  if (r.u32() != kWireMagic) return bad("bad entry magic");
+  if (r.u32() != kWireVersion) return bad("unsupported entry version");
+  const std::uint32_t mask = r.u32();
+  if (mask >> kArtifactSlots != 0) return bad("unknown artifact slot");
+  writes = static_cast<ArtifactMask>(mask);
+  util::Status st = util::Status::Ok();
+  for_each_artifact(artifacts, [&](std::size_t slot, auto& p) {
+    if (!st.ok() || (writes & slot_bit(slot)) == 0) return;
+    p = nullptr;
+    if (r.boolean()) st = read_slot(r, slot, artifacts);
+  });
+  for (std::size_t slot = kHeapSlots; st.ok() && slot < kArtifactSlots;
+       ++slot) {
+    if (writes & slot_bit(slot)) st = read_slot(r, slot, artifacts);
+  }
+  if (st.ok()) st = adopt(deserialize_step(r), record);
+  if (st.ok() && !r.ok()) st = bad("truncated entry");
+  if (st.ok() && r.remaining() != 0) st = bad("trailing bytes in entry");
   return st;
 }
 

@@ -80,8 +80,8 @@ using JobFn = std::function<util::Status(JobContext&)>;
 /// What the debug service needs to answer artifact queries about a job
 /// that is NOT parked at a breakpoint: the design plus the exact flow
 /// config it ran under (cancel/cache/breakpoint stripped), enough to
-/// recompute the FlowCache key chain and restore the deepest snapshot
-/// prefix. Immutable after make_flow_job builds it; shared (not copied)
+/// recompute the FlowCache step keys and restore the leading run of
+/// resident steps. Immutable after make_flow_job builds it; shared (not copied)
 /// when a job migrates between hubs.
 struct JobDebugInfo {
   std::shared_ptr<const rtl::Module> design;
@@ -126,7 +126,7 @@ struct JobSpec {
   /// without a breakpoint (and all synthetic jobs).
   std::shared_ptr<flow::BreakController> breakpoint;
   /// Debug-query context (design + config), set by make_flow_job. Lets
-  /// JobServer::query answer artifact questions from FlowCache snapshots
+  /// JobServer::query answer artifact questions from FlowCache entries
   /// when the job is not parked. Null for synthetic jobs.
   std::shared_ptr<const JobDebugInfo> debug;
 };
@@ -180,7 +180,7 @@ struct JobRecord {
   /// (kCommercial -> kOpen) because the queue crossed the shedding
   /// watermark at submission.
   bool degraded = false;
-  /// Deepest cached prefix a *retry* resumed from (max cache_hits over
+  /// Steps a *retry* restored from the cache (max cache_hits over
   /// attempts >= 2); 0 when the job never retried or restarted cold.
   std::size_t resume_depth = 0;
   /// Times the federation re-homed this job off a hub that was declared

@@ -35,7 +35,7 @@
 //     fast-fails submissions (kUnavailable) until breaker_cooldown_ms
 //     elapses, then lets one probe through (half-open);
 //   * checkpoint-resume retries: with a FlowCache attached, a retry after
-//     a mid-flow failure resumes from the deepest cached step prefix
+//     a mid-flow failure restores every step the failed attempt stored
 //     (JobRecord::resume_depth) instead of restarting at elaboration.
 //
 // measured_queue_report() renders completed work in the same QueueReport
@@ -253,8 +253,8 @@ class JobServer {
   /// Answers a debug query about job `id`. kFlight/kTrace are served from
   /// the server's own records in any state. Artifact queries (where_is /
   /// why_slack / net_route / cone_of) are answered from the live parked
-  /// FlowContext when the job is parked; otherwise from the deepest
-  /// FlowCache snapshot prefix via JobSpec::debug (kNotFound when neither
+  /// FlowContext when the job is parked; otherwise from the leading run of
+  /// FlowCache entries via JobSpec::debug (kNotFound when neither
   /// source exists — e.g. a synthetic job, or a flow job with no cache).
   [[nodiscard]] util::Result<dbg::QueryResult> query(JobId id,
                                                      const dbg::Query& q);

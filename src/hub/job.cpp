@@ -93,7 +93,7 @@ JobSpec make_flow_job(std::string name,
     flow::FlowConfig cfg = config;
     cfg.cancel = ctx.cancel;
     // The server's shared artifact cache (if any). Safe across workers:
-    // FlowCache is internally synchronized and the artifacts its snapshots
+    // FlowCache is internally synchronized and the artifacts its entries
     // share are immutable.
     cfg.cache = ctx.cache;
     // Load shedding: admitted above the watermark -> run at open effort.
@@ -102,9 +102,9 @@ JobSpec make_flow_job(std::string name,
     // re-run with a shifted seed so the stochastic stages explore a
     // different trajectory. After any other retryable failure (internal
     // hiccup, injected fault, crash isolated by the server) keep the seed —
-    // the step keys then match the previous attempt's stored prefix and
-    // execute() resumes from the deepest FlowCache checkpoint instead of
-    // restarting at elaboration.
+    // the step keys then match the entries the previous attempt stored and
+    // execute() restores those steps from the FlowCache instead of
+    // rerunning them.
     if (ctx.last_error.code() == util::ErrorCode::kResourceExhausted) {
       cfg.seed = config.seed + static_cast<std::uint64_t>(ctx.attempt - 1);
     }

@@ -204,8 +204,12 @@ std::shared_ptr<const JobRecord> JobServer::finalize_locked(
   if (state != JobState::kMigrated) {
     metrics_.observe("queue_wait_ms", rec.queue_wait_ms);
     if (rec.start_ms >= 0.0) metrics_.observe("run_ms", rec.run_ms);
+    // Restored steps carry the original run's runtime; only executed
+    // steps are observations of this job.
     for (const flow::StepRecord& step : rec.steps) {
-      metrics_.observe("step_" + step.name + "_ms", step.runtime_ms);
+      if (!step.cached) {
+        metrics_.observe("step_" + step.name + "_ms", step.runtime_ms);
+      }
     }
   }
   metrics_.set_gauge("queue_depth", static_cast<double>(scheduler_.size()));
@@ -347,8 +351,8 @@ void JobServer::run_job(const std::shared_ptr<Entry>& entry) {
     cache_hits = ctx.cache_hits;
     artifact_digest = ctx.artifact_digest;
     if (attempt > 1 && ctx.cache_hits > resume_depth) {
-      // Checkpoint-resume: this retry picked up from a cached step prefix
-      // (the failed attempt stored snapshots after each completed step).
+      // Checkpoint-resume: this retry restored the steps the failed
+      // attempt stored (one cache entry per completed step).
       resume_depth = ctx.cache_hits;
     }
     if (attempt_span.active()) {
@@ -359,7 +363,7 @@ void JobServer::run_job(const std::shared_ptr<Entry>& entry) {
     if (ctx.cache_hits > 0) {
       flight.push_back({t_attempt, "cache", "resume",
                         std::to_string(ctx.cache_hits) +
-                            " leading steps served from cache"});
+                            " steps restored from cache"});
     }
     // Step entries replay the attempt's internal timeline: each executed
     // step lands at the attempt start plus the runtime executed so far.
@@ -867,7 +871,7 @@ util::Result<dbg::QueryResult> JobServer::query(JobId id,
     if (answered) return out;
   }
 
-  // Not parked: answer from the deepest FlowCache snapshot prefix.
+  // Not parked: answer from the leading run of FlowCache entries.
   const std::shared_ptr<const JobDebugInfo> debug = entry->spec.debug;
   if (debug == nullptr || debug->design == nullptr) {
     return util::Status::NotFound(
@@ -882,7 +886,7 @@ util::Result<dbg::QueryResult> JobServer::query(JobId id,
   }
   flow::FlowConfig cfg = debug->config;
   {
-    // Degraded admission reruns the flow at open effort — the snapshots in
+    // Degraded admission reruns the flow at open effort — the entries in
     // the cache were keyed under that effective config, not the requested
     // one.
     std::lock_guard<std::mutex> lock(mu_);

@@ -1,7 +1,7 @@
 // Byte-stream wire format for cross-hub artifact exchange.
 //
 // WireWriter/WireReader implement the canonical little-endian encoding the
-// federated RemoteCache (fed::RemoteCache) ships flow snapshots in:
+// federated RemoteCache (fed::RemoteCache) ships flow cache entries in:
 // fixed-width integers, doubles by bit pattern, and length-prefixed
 // strings/byte blobs. The format is deliberately dumb — no varints, no
 // schema negotiation — because the payloads are content-addressed: the

@@ -269,7 +269,22 @@ TEST(DbgSerializeTest, SymbolTableRoundTripIsByteStable) {
 TEST(DbgSerializeTest, SnapshotCarriesSymbolsAndStaysDigestStable) {
   const auto& b = baked();
   const wire_test::WireSnapshot wire = wire_test::to_wire(b.ctx);
-  ASSERT_FALSE(wire.blobs[flow::kSymbolsSlot].empty());
+  // Every step that writes symbols ships them in its entry.
+  const flow::FlowTemplate tmpl = flow::reference_template();
+  for (std::size_t i = 0; i < tmpl.steps().size(); ++i) {
+    if ((tmpl.steps()[i].writes & flow::slot_bit(flow::kSymbolsSlot)) == 0) {
+      continue;
+    }
+    flow::FlowArtifacts a = b.ctx.artifacts;
+    a.symbols = nullptr;
+    flow::ArtifactMask writes = 0;
+    flow::StepRecord record;
+    ASSERT_TRUE(flow::deserialize_entry(wire.keys[i], wire.entries[i], a,
+                                        writes, record)
+                    .ok())
+        << tmpl.steps()[i].name;
+    EXPECT_NE(a.symbols, nullptr) << tmpl.steps()[i].name;
+  }
 
   flow::FlowContext restored;
   restored.config = b.ctx.config;
@@ -284,10 +299,9 @@ TEST(DbgSerializeTest, SnapshotCarriesSymbolsAndStaysDigestStable) {
               flow::digest_of(*b.ctx.artifacts.routed));
 
   // Digest-stable across save/load: re-serializing the restored context
-  // yields the identical blobs and manifest.
+  // yields the identical entries.
   const wire_test::WireSnapshot again = wire_test::to_wire(restored);
-  EXPECT_EQ(again.blobs, wire.blobs);
-  EXPECT_EQ(again.manifest, wire.manifest);
+  EXPECT_EQ(again.entries, wire.entries);
 
   // The restored context answers queries like the live one.
   expect_where_is_round_trips(restored);

@@ -20,7 +20,6 @@
 #include "eurochip/flow/cache.hpp"
 #include "eurochip/flow/fingerprint.hpp"
 #include "eurochip/flow/flow.hpp"
-#include "eurochip/flow/serialize.hpp"
 #include "eurochip/hub/job.hpp"
 #include "eurochip/pdk/registry.hpp"
 #include "eurochip/rtl/designs.hpp"
@@ -228,12 +227,13 @@ util::Digest artifact_digest(const flow::FlowArtifacts& a) {
   return h.finalize();
 }
 
-/// Key of the reference template's last step for (design, cfg).
-util::Digest final_key(const rtl::Module& design, const flow::FlowConfig& cfg) {
+/// The reference template's step keys for (design, cfg).
+std::vector<util::Digest> step_keys(const rtl::Module& design,
+                                    const flow::FlowConfig& cfg) {
   std::vector<util::Digest> keys;
   std::vector<bool> keyable;
   flow::reference_template().step_keys(design, cfg, &keys, &keyable);
-  return keys.back();
+  return keys;
 }
 
 TEST(FederationCacheStackTest, PowerVariantPublishesOnlyWhatItComputed) {
@@ -245,26 +245,24 @@ TEST(FederationCacheStackTest, PowerVariantPublishesOnlyWhatItComputed) {
   cfg.cache = &a;
   const auto base = flow::run_reference_flow(design, cfg);
   ASSERT_TRUE(base.ok()) << base.status().to_string();
-  // One full snapshot on the wire: every artifact blob plus the manifest.
-  std::size_t full = flow::serialize_manifest(base->artifacts, base->steps,
-                                              flow::ArtifactAddresses{})
-                         .size();
-  flow::for_each_artifact(base->artifacts, [&](std::size_t slot, const auto& p) {
-    if (p) full += flow::artifact_blob(base->artifacts, slot).size();
-  });
+  // One full run on the wire: every step's entry.
+  const std::uint64_t full = remote.stats().bytes_published;
+  ASSERT_EQ(remote.stats().publishes, base->steps.size());
 
-  // A power-only variant reruns power, drc and gds on the base's
-  // artifacts: it publishes three manifests and no artifact blob.
+  // A power-only variant reruns power alone on the base's artifacts: it
+  // publishes one entry, holding the power report and power's record.
   auto variant_cfg = cfg;
   power::PowerOptions po;
   po.clock_mhz = 250.0;
   variant_cfg.power_options = po;
   const std::uint64_t before = remote.stats().bytes_published;
+  const std::uint64_t publishes = remote.stats().publishes;
   const auto variant = flow::run_reference_flow(design, variant_cfg);
   ASSERT_TRUE(variant.ok()) << variant.status().to_string();
-  EXPECT_EQ(variant->cache_hits, 9u);
+  EXPECT_EQ(variant->cache_hits, 11u);
   EXPECT_NE(variant->ppa.power_uw, base->ppa.power_uw);
-  EXPECT_LE(remote.stats().bytes_published - before, full / 5);
+  EXPECT_EQ(remote.stats().publishes - publishes, 1u);
+  EXPECT_LE(remote.stats().bytes_published - before, full / 100);
 
   // A second hub with a cold L1 restores the variant from the tier alone.
   flow::FlowCache b(flow::FlowCache::Options{.max_bytes = 64u << 20,
@@ -273,7 +271,7 @@ TEST(FederationCacheStackTest, PowerVariantPublishesOnlyWhatItComputed) {
   const auto restored = flow::run_reference_flow(design, variant_cfg);
   ASSERT_TRUE(restored.ok()) << restored.status().to_string();
   EXPECT_EQ(restored->cache_hits, restored->steps.size());
-  EXPECT_EQ(b.stats().remote_hits, 1u);
+  EXPECT_EQ(b.stats().remote_hits, restored->steps.size());
   EXPECT_EQ(artifact_digest(restored->artifacts),
             artifact_digest(variant->artifacts));
   EXPECT_EQ(restored->ppa.power_uw, variant->ppa.power_uw);
@@ -305,68 +303,79 @@ class TamperingTier : public flow::CacheTier {
   fed::RemoteCache& inner_;
 };
 
-TEST(FederationCacheStackTest, TamperedManifestsAndBlobsAreRemoteErrors) {
+TEST(FederationCacheStackTest, TamperedEntriesAreRemoteErrors) {
   fed::RemoteCache remote;
   const auto design = rtl::designs::counter(6);
   flow::FlowCache a(flow::FlowCache::Options{.max_bytes = 64u << 20,
                                              .second_level = &remote});
   auto cfg = open_config(25);
   cfg.cache = &a;
-  ASSERT_TRUE(flow::run_reference_flow(design, cfg).ok());
-  const util::Digest key = final_key(design, cfg);
-
-  std::vector<std::uint8_t> manifest;
-  ASSERT_TRUE(remote.fetch(key, &manifest));
-  flow::FlowContext parsed;
-  flow::ArtifactAddresses addresses{};
-  ASSERT_TRUE(flow::deserialize_manifest(manifest, parsed, addresses).ok());
-  std::vector<util::Digest> targets{key};
-  for (const util::Digest& d : addresses) {
-    if (!(d == util::Digest{})) targets.push_back(d);
-  }
-  ASSERT_EQ(targets.size(), 1 + flow::kArtifactSlots);
+  const auto base = flow::run_reference_flow(design, cfg);
+  ASSERT_TRUE(base.ok()) << base.status().to_string();
+  const std::vector<util::Digest> keys = step_keys(design, cfg);
+  ASSERT_EQ(keys.size(), 12u);
 
   TamperingTier tier(remote);
-  // Each tampered lookup must count one remote error and one miss.
-  const auto expect_rejected = [&](const std::string& what) {
+  // Each tampered lookup must count one remote error and one miss. It
+  // decodes against the base run's artifacts, so every upstream artifact
+  // an entry points into is there.
+  const auto expect_rejected = [&](const util::Digest& key,
+                                   const std::string& what) {
     flow::FlowCache b(flow::FlowCache::Options{.max_bytes = 64u << 20,
                                                .second_level = &tier});
     flow::FlowContext ctx;
+    ctx.artifacts = base->artifacts;
     EXPECT_FALSE(b.lookup(key, ctx)) << what;
     EXPECT_EQ(b.stats().remote_errors, 1u) << what;
     EXPECT_EQ(b.stats().misses, 1u) << what;
   };
-  for (const util::Digest& target : targets) {
+  for (std::size_t step = 0; step < keys.size(); ++step) {
+    const util::Digest& key = keys[step];
     std::vector<std::uint8_t> bytes;
-    ASSERT_TRUE(remote.fetch(target, &bytes));
-    tier.target = target;
+    ASSERT_TRUE(remote.fetch(key, &bytes));
+    tier.target = key;
     const std::size_t stride = bytes.size() / 31 + 1;
     for (std::size_t pos = 0; pos < bytes.size(); pos += stride) {
       tier.tamper = [pos](std::vector<std::uint8_t>& b) { b[pos] ^= 0x5Au; };
-      expect_rejected("flip at " + std::to_string(pos) + " of " +
-                      target.hex());
+      expect_rejected(key, "flip at " + std::to_string(pos) + " of step " +
+                               std::to_string(step));
       tier.tamper = [pos](std::vector<std::uint8_t>& b) { b.resize(pos); };
-      expect_rejected("prefix of " + std::to_string(pos) + " of " +
-                      target.hex());
+      expect_rejected(key, "prefix of " + std::to_string(pos) +
+                               " of step " + std::to_string(step));
     }
-    if (target == key) continue;
-    // A blob served under another artifact's address.
-    for (const util::Digest& other : targets) {
-      if (other == target || other == key) continue;
+    // Another step's entry served under this step's key.
+    for (std::size_t other = 0; other < keys.size(); ++other) {
+      if (other == step) continue;
       std::vector<std::uint8_t> swapped;
-      ASSERT_TRUE(remote.fetch(other, &swapped));
+      ASSERT_TRUE(remote.fetch(keys[other], &swapped));
       tier.tamper = [swapped](std::vector<std::uint8_t>& b) { b = swapped; };
-      expect_rejected(other.hex() + " served as " + target.hex());
+      expect_rejected(key, "step " + std::to_string(other) + " served as " +
+                               std::to_string(step));
     }
+    // A whole run over the tampered tier executes that step, restores the
+    // other eleven, and returns the same artifacts.
+    tier.tamper = [](std::vector<std::uint8_t>& b) { b[b.size() / 2] ^= 0x5Au; };
+    flow::FlowCache c(flow::FlowCache::Options{.max_bytes = 64u << 20,
+                                               .second_level = &tier});
+    auto run_cfg = cfg;
+    run_cfg.cache = &c;
+    const auto run = flow::run_reference_flow(design, run_cfg);
+    ASSERT_TRUE(run.ok()) << run.status().to_string();
+    EXPECT_EQ(c.stats().remote_errors, 1u) << "step " << step;
+    EXPECT_EQ(run->cache_hits, keys.size() - 1) << "step " << step;
+    EXPECT_FALSE(run->steps[step].cached) << "step " << step;
+    EXPECT_EQ(artifact_digest(run->artifacts), artifact_digest(base->artifacts))
+        << "step " << step;
   }
 
-  // Untampered, the same tier restores the snapshot.
+  // Untampered, the same tier restores every step.
   tier.tamper = nullptr;
   flow::FlowCache b(flow::FlowCache::Options{.max_bytes = 64u << 20,
                                              .second_level = &tier});
   flow::FlowContext ctx;
-  EXPECT_TRUE(b.lookup(key, ctx));
-  EXPECT_EQ(b.stats().remote_hits, 1u);
+  for (const util::Digest& key : keys) EXPECT_TRUE(b.lookup(key, ctx));
+  EXPECT_EQ(b.stats().remote_hits, keys.size());
+  EXPECT_EQ(b.stats().remote_errors, 0u);
 }
 
 TEST(FederationCacheStackTest, RemoteFaultsDegradeTheStackGracefully) {

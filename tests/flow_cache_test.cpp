@@ -1,16 +1,21 @@
-// FlowCache: content-addressed keying, invalidation, LRU eviction, and
-// concurrent sharing across flow runs and JobServer workers.
+// FlowCache: per-step keying over declared reads, invalidation, LRU
+// eviction, and concurrent sharing across flow runs and JobServer workers.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <functional>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "eurochip/flow/cache.hpp"
 #include "eurochip/flow/fingerprint.hpp"
 #include "eurochip/flow/flow.hpp"
+#include "eurochip/flow/serialize.hpp"
 #include "eurochip/hub/job.hpp"
 #include "eurochip/hub/server.hpp"
 #include "eurochip/pdk/registry.hpp"
@@ -230,13 +235,230 @@ TEST(FlowCacheTest, RestoredArtifactsAreSharedAndImmutable) {
   std::vector<util::Digest> keys;
   std::vector<bool> keyable;
   flow::reference_template().step_keys(m, cfg, &keys, &keyable);
+  constexpr std::size_t kDftStep = 4;  // the last step that writes mapped
+  ASSERT_EQ(flow::reference_template().steps()[kDftStep].name, "dft");
   flow::FlowContext probe;
-  ASSERT_TRUE(cache.lookup(keys.back(), probe));
+  ASSERT_TRUE(cache.lookup(keys[kDftStep], probe));
   EXPECT_EQ(probe.artifacts.mapped.get(), a.mapped.get());
   EXPECT_EQ(flow::digest_of(*probe.artifacts.mapped), cold_mapped);
 }
 
+/// `from`'s slots in `mask` (and its design); every other slot empty.
+flow::FlowArtifacts only(const flow::FlowArtifacts& from,
+                         flow::ArtifactMask mask) {
+  const auto has = [mask](std::size_t slot) {
+    return (mask & flow::slot_bit(slot)) != 0;
+  };
+  flow::FlowArtifacts to;
+  to.design = from.design;
+  if (has(flow::kLibrarySlot)) to.library = from.library;
+  if (has(flow::kAigSlot)) to.aig = from.aig;
+  if (has(flow::kMappedSlot)) to.mapped = from.mapped;
+  if (has(flow::kPlacedSlot)) to.placed = from.placed;
+  if (has(flow::kClockTreeSlot)) to.clock_tree = from.clock_tree;
+  if (has(flow::kRoutedSlot)) to.routed = from.routed;
+  if (has(flow::kSymbolsSlot)) to.symbols = from.symbols;
+  if (has(flow::kTimingSlot)) to.timing = from.timing;
+  if (has(flow::kPowerSlot)) to.power = from.power;
+  if (has(flow::kDrcSlot)) to.drc = from.drc;
+  if (has(flow::kGdsSlot)) to.gds_bytes = from.gds_bytes;
+  return to;
+}
+
+TEST(FlowCacheTest, StepsReadOnlyWhatTheyDeclare) {
+  // A step's key covers only the slots it declares as reads, so each step
+  // must compute the same writes from those slots alone as from the whole
+  // context. Every scale-1 design on both presets, with scan insertion on
+  // so that dft rewrites the netlist.
+  const flow::FlowTemplate tmpl = flow::reference_template();
+  const std::vector<std::pair<flow::FlowQuality, std::string>> presets = {
+      {flow::FlowQuality::kOpen, "sky130ish"},
+      {flow::FlowQuality::kCommercial, "commercial28"}};
+  for (const auto& entry : rtl::designs::standard_catalog(1)) {
+    for (const auto& [quality, node] : presets) {
+      flow::FlowContext full;
+      full.config.node = pdk::standard_node(node).value();
+      full.config.quality = quality;
+      full.config.insert_scan = true;
+      full.artifacts.design = &entry.module;
+      for (const flow::FlowStep& step : tmpl.steps()) {
+        const std::string what = entry.name + "/" + node + "/" + step.name;
+        flow::FlowContext reduced;
+        reduced.config = full.config;
+        reduced.artifacts = only(full.artifacts, step.reads);
+        const util::Status whole = step.run(full);
+        const util::Status alone = step.run(reduced);
+        ASSERT_TRUE(whole.ok()) << what << ": " << whole.to_string();
+        ASSERT_TRUE(alone.ok()) << what << ": " << alone.to_string();
+        // The written slots, compared as their wire encodings.
+        EXPECT_EQ(flow::serialize_entry(util::Digest{}, reduced.artifacts,
+                                        step.writes, flow::StepRecord{}),
+                  flow::serialize_entry(util::Digest{}, full.artifacts,
+                                        step.writes, flow::StepRecord{}))
+            << what;
+        ASSERT_FALSE(reduced.steps.empty()) << what;
+        EXPECT_EQ(reduced.steps.back().detail, full.steps.back().detail)
+            << what;
+      }
+    }
+  }
+}
+
+TEST(FlowCacheTest, EveryKnobRerunsExactlyTheStepsThatReadIt) {
+  const auto m = rtl::designs::counter(8);
+  const flow::FlowConfig base = base_config();
+  // The steps a run with `variant` executes after a run with `base`.
+  const auto executed = [&m, &base](const flow::FlowConfig& variant) {
+    flow::FlowCache cache;
+    flow::FlowConfig cfg = base;
+    cfg.cache = &cache;
+    EXPECT_TRUE(flow::run_reference_flow(m, cfg).ok());
+    cfg = variant;
+    cfg.cache = &cache;
+    const auto r = flow::run_reference_flow(m, cfg);
+    std::vector<std::string> names;
+    EXPECT_TRUE(r.ok()) << r.status().to_string();
+    if (!r.ok()) return names;
+    for (const auto& s : r->steps) {
+      if (!s.cached) names.push_back(s.name);
+    }
+    return names;
+  };
+  using Steps = std::vector<std::string>;
+  const Steps all = {"library", "elaborate", "synth", "map",
+                     "dft",     "place",     "cts",   "route",
+                     "sta",     "power",     "drc",   "gds"};
+  const Steps from_synth(all.begin() + 2, all.end());
+  const Steps from_map(all.begin() + 3, all.end());
+  const Steps from_dft(all.begin() + 4, all.end());
+  const Steps from_place(all.begin() + 5, all.end());
+  const std::string gds_path = ::testing::TempDir() + "knob_walk.gds";
+  struct Knob {
+    std::string name;
+    std::function<void(flow::FlowConfig&)> change;
+    Steps reruns;
+  };
+  const std::vector<Knob> knobs = {
+      {"node",
+       [](flow::FlowConfig& c) {
+         c.node = pdk::standard_node("ihp130ish").value();
+       },
+       all},
+      {"quality",
+       [](flow::FlowConfig& c) { c.quality = flow::FlowQuality::kCommercial; },
+       from_synth},
+      {"clock_period_ps",
+       [](flow::FlowConfig& c) {
+         c.clock_period_ps = c.effective_clock_ps() * 2.0;
+       },
+       from_map},
+      {"utilization", [](flow::FlowConfig& c) { c.utilization = 0.5; },
+       from_place},
+      {"seed", [](flow::FlowConfig& c) { c.seed = 8; }, from_place},
+      {"threads", [](flow::FlowConfig& c) { c.threads = 4; }, {}},
+      {"synth_iterations", [](flow::FlowConfig& c) { c.synth_iterations = 2; },
+       from_synth},
+      {"map_options",
+       [](flow::FlowConfig& c) { c.map_options = synth::MapOptions{}; },
+       from_map},
+      {"place_options",
+       [](flow::FlowConfig& c) {
+         c.place_options = flow::knobs_for(c.quality, c.seed, c.utilization)
+                               .place_options;
+       },
+       from_place},
+      {"route_options",
+       [](flow::FlowConfig& c) {
+         c.route_options = flow::knobs_for(c.quality, c.seed, c.utilization)
+                               .route_options;
+       },
+       {"route", "sta", "power", "drc"}},
+      {"power_options",
+       [](flow::FlowConfig& c) {
+         power::PowerOptions po;
+         po.clock_mhz = 250.0;
+         c.power_options = po;
+       },
+       {"power"}},
+      {"insert_scan", [](flow::FlowConfig& c) { c.insert_scan = true; },
+       from_dft},
+      {"gds_output_path",
+       [&gds_path](flow::FlowConfig& c) { c.gds_output_path = gds_path; },
+       {"gds"}},
+  };
+  for (const Knob& knob : knobs) {
+    flow::FlowConfig variant = base;
+    knob.change(variant);
+    EXPECT_EQ(executed(variant), knob.reruns) << knob.name;
+  }
+  std::remove(gds_path.c_str());
+}
+
+TEST(FlowCacheTest, EvictedUpstreamEntryLeavesDownstreamEntriesValid) {
+  // An entry pins the upstream artifacts its own point into, so evicting
+  // the entries that wrote the netlist cannot free the netlist a resident
+  // placement points at.
+  const auto m = rtl::designs::counter(8);
+  auto cfg = base_config();
+  const flow::FlowTemplate tmpl = flow::reference_template();
+  std::vector<util::Digest> keys;
+  std::vector<bool> keyable;
+  tmpl.step_keys(m, cfg, &keys, &keyable);
+  constexpr std::size_t kPlaceStep = 5;
+  ASSERT_EQ(tmpl.steps()[kPlaceStep].name, "place");
+
+  // The bytes the entries from place on charge together. A cold run under
+  // exactly that budget keeps them and evicts every earlier entry, map's
+  // and dft's included.
+  std::size_t tail_bytes = 0;
+  {
+    flow::FlowCache all;
+    cfg.cache = &all;
+    ASSERT_TRUE(flow::run_reference_flow(m, cfg).ok());
+    flow::FlowCache tail;
+    flow::FlowContext ctx;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_TRUE(all.lookup(keys[i], ctx));
+      if (i >= kPlaceStep) tail.store(keys[i], ctx, tmpl.steps()[i].writes);
+    }
+    tail_bytes = tail.stats().bytes;
+  }
+  flow::FlowCache cache(flow::FlowCache::Options{.max_bytes = tail_bytes});
+  cfg.cache = &cache;
+  util::Digest cold_placed;
+  util::Digest cold_routed;
+  {
+    const auto cold = flow::run_reference_flow(m, cfg);
+    ASSERT_TRUE(cold.ok()) << cold.status().to_string();
+    cold_placed = flow::digest_of(*cold->artifacts.placed);
+    cold_routed = flow::digest_of(*cold->artifacts.routed);
+  }  // the run's result is gone: only the cache holds its artifacts
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(cache.contains(keys[i]), i >= kPlaceStep) << tmpl.steps()[i].name;
+  }
+
+  flow::FlowContext ctx;
+  ASSERT_TRUE(cache.lookup(keys[kPlaceStep], ctx));
+  ASSERT_NE(ctx.artifacts.placed, nullptr);
+  ASSERT_NE(ctx.artifacts.mapped, nullptr);
+  EXPECT_EQ(ctx.artifacts.placed->netlist, ctx.artifacts.mapped.get());
+  EXPECT_EQ(&ctx.artifacts.mapped->library(), ctx.artifacts.library.get());
+  EXPECT_EQ(flow::digest_of(*ctx.artifacts.placed), cold_placed);
+
+  constexpr std::size_t kRouteStep = 7;
+  ASSERT_EQ(tmpl.steps()[kRouteStep].name, "route");
+  flow::FlowContext routed;
+  ASSERT_TRUE(cache.lookup(keys[kRouteStep], routed));
+  EXPECT_EQ(routed.artifacts.routed->placed, routed.artifacts.placed.get());
+  EXPECT_EQ(routed.artifacts.placed->netlist, routed.artifacts.mapped.get());
+  EXPECT_EQ(flow::digest_of(*routed.artifacts.routed), cold_routed);
+}
+
 // --- direct cache mechanics ---------------------------------------------
+
+constexpr flow::ArtifactMask kGds = flow::slot_bit(flow::kGdsSlot);
+constexpr flow::ArtifactMask kAllSlots =
+    flow::slot_bit(flow::kArtifactSlots) - 1;
 
 flow::FlowContext synthetic_ctx(std::size_t gds_kb) {
   flow::FlowContext ctx;
@@ -254,8 +476,8 @@ util::Digest key_of(std::uint64_t i) {
 }
 
 TEST(FlowCacheTest, BudgetChargesEachArtifactOnce) {
-  // The twelve cumulative snapshots of a run share their artifacts, so the
-  // whole run costs little more than its final snapshot alone.
+  // The twelve entries of a run share their artifacts, so the whole run
+  // costs little more than one entry holding its final state alone.
   for (const auto& entry : rtl::designs::standard_catalog(1)) {
     flow::FlowCache cache;
     auto cfg = base_config();
@@ -268,7 +490,7 @@ TEST(FlowCacheTest, BudgetChargesEachArtifactOnce) {
     final_ctx.artifacts = run->artifacts;
     final_ctx.steps = run->steps;
     flow::FlowCache alone;
-    alone.store(key_of(0), final_ctx);
+    alone.store(key_of(0), final_ctx, kAllSlots);
     ASSERT_EQ(alone.stats().entries, 1u) << entry.name;
     EXPECT_LE(cache.stats().bytes, 2 * alone.stats().bytes) << entry.name;
   }
@@ -281,7 +503,7 @@ TEST(FlowCacheTest, LruEvictionRespectsByteBudget) {
 
   for (std::uint64_t i = 0; i < 8; ++i) {
     const auto ctx = synthetic_ctx(64);
-    cache.store(key_of(i), ctx);
+    cache.store(key_of(i), ctx, kGds);
   }
   const auto st = cache.stats();
   EXPECT_EQ(st.stores, 8u);
@@ -297,15 +519,15 @@ TEST(FlowCacheTest, LookupTouchesLruOrder) {
   flow::FlowCache::Options opt;
   opt.max_bytes = 300 * 1024;
   flow::FlowCache cache(opt);
-  cache.store(key_of(1), synthetic_ctx(64));
-  cache.store(key_of(2), synthetic_ctx(64));
-  cache.store(key_of(3), synthetic_ctx(64));
+  cache.store(key_of(1), synthetic_ctx(64), kGds);
+  cache.store(key_of(2), synthetic_ctx(64), kGds);
+  cache.store(key_of(3), synthetic_ctx(64), kGds);
 
   flow::FlowContext scratch;
   ASSERT_TRUE(cache.lookup(key_of(1), scratch));  // 1 becomes MRU
 
-  cache.store(key_of(4), synthetic_ctx(64));
-  cache.store(key_of(5), synthetic_ctx(64));
+  cache.store(key_of(4), synthetic_ctx(64), kGds);
+  cache.store(key_of(5), synthetic_ctx(64), kGds);
   EXPECT_TRUE(cache.contains(key_of(1)));   // touched, survived
   EXPECT_FALSE(cache.contains(key_of(2)));  // LRU victim
 }
@@ -314,7 +536,7 @@ TEST(FlowCacheTest, OversizedSnapshotNotAdmitted) {
   flow::FlowCache::Options opt;
   opt.max_bytes = 16 * 1024;
   flow::FlowCache cache(opt);
-  cache.store(key_of(1), synthetic_ctx(64));  // 64 KiB > 16 KiB budget
+  cache.store(key_of(1), synthetic_ctx(64), kGds);  // 64 KiB > 16 KiB budget
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_FALSE(cache.contains(key_of(1)));
 }
@@ -330,7 +552,7 @@ TEST(FlowCacheTest, MissLeavesContextUntouched) {
 
 TEST(FlowCacheTest, ClearResetsResidency) {
   flow::FlowCache cache;
-  cache.store(key_of(1), synthetic_ctx(4));
+  cache.store(key_of(1), synthetic_ctx(4), kGds);
   ASSERT_TRUE(cache.contains(key_of(1)));
   cache.clear();
   EXPECT_FALSE(cache.contains(key_of(1)));
@@ -372,7 +594,7 @@ TEST(FlowCacheTest, ConcurrentStoreAndEvictionIsSafe) {
     threads.emplace_back([&, t] {
       for (std::uint64_t i = 0; i < 32; ++i) {
         const std::uint64_t k = static_cast<std::uint64_t>(t) * 100 + i;
-        cache.store(key_of(k), synthetic_ctx(32));
+        cache.store(key_of(k), synthetic_ctx(32), kGds);
         flow::FlowContext scratch;
         cache.lookup(key_of(k), scratch);
         (void)cache.contains(key_of(k % 7));
@@ -397,7 +619,7 @@ TEST(FlowCacheTest, ConcurrentRestoreOfAnEvictedSnapshotIsSafe) {
   const util::Digest mapped = flow::digest_of(*run->artifacts.mapped);
 
   flow::FlowCache sizing;
-  sizing.store(key_of(0), shared);
+  sizing.store(key_of(0), shared, kAllSlots);
   const std::size_t snapshot_bytes = sizing.stats().bytes;
   flow::FlowCache::Options opt;
   opt.max_bytes = 2 * snapshot_bytes;
@@ -420,12 +642,13 @@ TEST(FlowCacheTest, ConcurrentRestoreOfAnEvictedSnapshotIsSafe) {
   // The snapshot and a variant do not fit together, so each store evicts
   // the other — the snapshot while readers may still hold its artifacts.
   for (std::uint64_t i = 1; i <= 24; ++i) {
-    cache.store(key_of(0), shared);
+    cache.store(key_of(0), shared, kAllSlots);
     const int seen = restores.load();
     for (int spin = 0; spin < 100000 && restores.load() == seen; ++spin) {
       std::this_thread::yield();
     }
-    cache.store(key_of(i), synthetic_ctx(snapshot_bytes * 3 / 2 / 1024));
+    cache.store(key_of(i), synthetic_ctx(snapshot_bytes * 3 / 2 / 1024),
+                kGds);
   }
   done = true;
   for (auto& th : readers) th.join();

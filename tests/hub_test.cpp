@@ -12,9 +12,11 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "eurochip/flow/cache.hpp"
 #include "eurochip/hub/job.hpp"
 #include "eurochip/hub/metrics.hpp"
 #include "eurochip/hub/scheduler.hpp"
@@ -576,6 +578,29 @@ TEST(JobServerTest, ExecutesRealFlowsConcurrently) {
   // Per-step durations were harvested into the metrics registry.
   EXPECT_EQ(server.metrics().histogram("step_place_ms").count, 4u);
   EXPECT_EQ(server.metrics().histogram("run_ms").count, 4u);
+}
+
+TEST(JobServerTest, StepHistogramsObserveOnlyExecutedSteps) {
+  flow::FlowCache cache;
+  JobServer::Options opt;
+  opt.capacity = 1;
+  opt.cache = &cache;
+  JobServer server(opt);
+  flow::FlowConfig cfg;
+  cfg.node = pdk::standard_node("sky130ish").value();
+  const auto design =
+      std::make_shared<const rtl::Module>(rtl::designs::counter(4));
+  for (const std::string name : {"cold", "warm"}) {
+    const auto id = server.submit(make_flow_job(name, design, cfg));
+    ASSERT_TRUE(id.ok());
+    const auto rec = server.wait(*id);
+    ASSERT_TRUE(rec.ok());
+    ASSERT_EQ(rec->state, JobState::kSucceeded) << rec->status.to_string();
+  }
+  // The warm job restored every step. Its records carry the cold run's
+  // runtimes, which are not observations of the warm job.
+  EXPECT_EQ(server.metrics().histogram("step_place_ms").count, 1u);
+  EXPECT_EQ(server.metrics().histogram("run_ms").count, 2u);
 }
 
 TEST(JobServerTest, FlowJobDeadlineCancelsBetweenSteps) {

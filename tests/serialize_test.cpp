@@ -1,8 +1,8 @@
 // Wire-format round trips for every flow artifact (flow/serialize.hpp):
 // a deserialized artifact must be indistinguishable from the original —
 // equal content digests where digest_of exists, byte-identical
-// re-serialization everywhere — and corrupt/truncated manifests and
-// artifact blobs must be rejected with a Status, never a crash.
+// re-serialization everywhere — and corrupt, truncated or misfiled cache
+// entries must be rejected with a Status, never a crash.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -155,15 +155,13 @@ TEST(SerializeTest, ReportsRoundTripByteStable) {
     EXPECT_EQ(d->violations.size(), a.drc.violations.size());
     EXPECT_EQ(bytes_of(*d), bytes);
   }
-  {
-    const auto bytes = bytes_of(baked().ctx.steps);
+  for (const flow::StepRecord& step : baked().ctx.steps) {
+    const auto bytes = bytes_of(step);
     util::WireReader r(bytes);
-    auto s = flow::deserialize_steps(r);
+    auto s = flow::deserialize_step(r);
     ASSERT_TRUE(s.ok()) << s.status().to_string();
-    ASSERT_EQ(s->size(), baked().ctx.steps.size());
-    for (std::size_t i = 0; i < s->size(); ++i) {
-      EXPECT_EQ((*s)[i].name, baked().ctx.steps[i].name);
-    }
+    EXPECT_EQ(s->name, step.name);
+    EXPECT_EQ(s->detail, step.detail);
     EXPECT_EQ(bytes_of(*s), bytes);
   }
 }
@@ -171,9 +169,11 @@ TEST(SerializeTest, ReportsRoundTripByteStable) {
 TEST(SerializeSnapshotTest, RoundTripPreservesEveryArtifact) {
   const Baked& b = baked();
   const WireSnapshot wire = to_wire(b.ctx);
-  ASSERT_GT(wire.manifest.size(), 24u);
+  ASSERT_EQ(wire.entries.size(), b.ctx.steps.size());
+  for (const auto& entry : wire.entries) EXPECT_GT(entry.size(), 28u);
 
   flow::FlowContext out;
+  out.config = b.ctx.config;
   out.artifacts.design = b.design.get();
   const auto st = from_wire(wire, out);
   ASSERT_TRUE(st.ok()) << st.to_string();
@@ -196,28 +196,24 @@ TEST(SerializeSnapshotTest, RoundTripPreservesEveryArtifact) {
   EXPECT_EQ(out.artifacts.routed->placed, out.artifacts.placed.get());
 
   // Serialization is deterministic: the round-tripped context re-encodes
-  // to identical blobs, addresses and manifest (the property the
-  // content-addressed remote cache relies on).
+  // to identical entries (the property the shared remote cache relies
+  // on).
   const WireSnapshot again = to_wire(out);
-  EXPECT_EQ(again.blobs, wire.blobs);
-  EXPECT_EQ(again.addresses, wire.addresses);
-  EXPECT_EQ(again.manifest, wire.manifest);
+  EXPECT_EQ(again.keys, wire.keys);
+  EXPECT_EQ(again.entries, wire.entries);
 }
 
-/// Calls f(bytes) for the manifest and for each artifact blob of `wire`.
+/// Calls f(bytes) for each entry of `wire`.
 template <typename F>
 void for_each_stream(WireSnapshot& wire, F&& f) {
-  f(wire.manifest);
-  for (auto& blob : wire.blobs) {
-    if (!blob.empty()) f(blob);
-  }
+  for (auto& entry : wire.entries) f(entry);
 }
 
 TEST(SerializeSnapshotTest, EveryTruncationIsRejectedCleanly) {
   WireSnapshot wire = to_wire(baked().ctx);
-  // Every prefix of the manifest or of an artifact blob must fail with a
-  // Status (digest trailer, address or bounds check), never crash. Stride
-  // keeps the loop fast on multi-KB streams.
+  // Every prefix of every entry must fail with a Status (digest trailer or
+  // bounds check), never crash. Stride keeps the loop fast on multi-KB
+  // streams.
   for_each_stream(wire, [&](std::vector<std::uint8_t>& bytes) {
     const std::vector<std::uint8_t> whole = bytes;
     const std::size_t stride = whole.size() / 257 + 1;
@@ -245,47 +241,69 @@ TEST(SerializeSnapshotTest, EveryByteFlipIsRejected) {
   });
 }
 
-TEST(SerializeSnapshotTest, BlobUnderAnotherAddressIsRejected) {
+TEST(SerializeSnapshotTest, EntryUnderAnotherKeyIsRejected) {
   const WireSnapshot wire = to_wire(baked().ctx);
-  for (std::size_t slot = 0; slot < flow::kArtifactSlots; ++slot) {
-    for (std::size_t other = 0; other < flow::kArtifactSlots; ++other) {
-      if (other == slot || wire.blobs[other].empty()) continue;
+  for (std::size_t step = 0; step < wire.entries.size(); ++step) {
+    for (std::size_t other = 0; other < wire.entries.size(); ++other) {
+      if (other == step) continue;
       flow::FlowArtifacts a = baked().ctx.artifacts;
-      EXPECT_FALSE(flow::read_artifact_blob(slot, wire.blobs[other],
-                                            wire.addresses, a)
+      flow::ArtifactMask writes = 0;
+      flow::StepRecord record;
+      EXPECT_FALSE(flow::deserialize_entry(wire.keys[step],
+                                           wire.entries[other], a, writes,
+                                           record)
                        .ok())
-          << "blob " << other << " accepted as artifact " << slot;
+          << "entry " << other << " accepted as step " << step;
     }
   }
-  // The address covers the upstream artifact too: the same netlist blob
-  // under a different library is a different artifact.
-  flow::ArtifactAddresses moved = wire.addresses;
-  moved[flow::kLibrarySlot].lo ^= 1;
+  // A key covers the keys of what its step read: the same map entry under
+  // the map key of a run on another library is a different entry.
+  flow::FlowContext other_node = baked().ctx;
+  other_node.config.node = pdk::standard_node("ihp130ish").value();
+  const WireSnapshot moved = to_wire(other_node);
+  constexpr std::size_t kMapStep = 3;
+  ASSERT_EQ(flow::reference_template().steps()[kMapStep].name, "map");
+  ASSERT_NE(moved.keys[kMapStep], wire.keys[kMapStep]);
   flow::FlowArtifacts a = baked().ctx.artifacts;
-  EXPECT_FALSE(flow::read_artifact_blob(flow::kMappedSlot,
-                                        wire.blobs[flow::kMappedSlot], moved,
-                                        a)
+  flow::ArtifactMask writes = 0;
+  flow::StepRecord record;
+  EXPECT_FALSE(flow::deserialize_entry(moved.keys[kMapStep],
+                                       wire.entries[kMapStep], a, writes,
+                                       record)
                    .ok());
 }
 
 TEST(SerializeSnapshotTest, WrongVersionIsRejected) {
-  // A manifest whose digest is valid but whose version is unknown must be
-  // rejected by the header check, not mis-parsed.
-  util::WireWriter w;
-  w.u32(flow::kWireMagic);
-  w.u32(flow::kWireVersion + 1);
-  w.boolean(false);  // padding past the minimum-size gate
-  auto payload = std::move(w).take();
-  util::Hasher h;
-  h.bytes(payload.data(), payload.size());
-  const auto d = h.finalize();
-  util::WireWriter trailer;
-  trailer.u64(d.hi);
-  trailer.u64(d.lo);
-  for (auto byte : std::move(trailer).take()) payload.push_back(byte);
-  flow::FlowContext out;
-  flow::ArtifactAddresses addresses{};
-  EXPECT_FALSE(flow::deserialize_manifest(payload, out, addresses).ok());
+  // An entry whose trailer is valid for its key but whose version is
+  // unknown must be rejected by the header check, not mis-parsed.
+  const util::Digest key{0x1234, 0x5678};
+  const auto sealed = [&key](std::uint32_t version) {
+    util::WireWriter w;
+    w.u32(flow::kWireMagic);
+    w.u32(version);
+    w.u32(0);  // writes nothing
+    flow::serialize(w, flow::StepRecord{"power", 1.0, "", false});
+    auto payload = std::move(w).take();
+    util::Hasher h;
+    h.digest(key).bytes(payload.data(), payload.size());
+    const auto d = h.finalize();
+    util::WireWriter trailer;
+    trailer.u64(d.hi);
+    trailer.u64(d.lo);
+    for (auto byte : std::move(trailer).take()) payload.push_back(byte);
+    return payload;
+  };
+  flow::FlowArtifacts a;
+  flow::ArtifactMask writes = 0;
+  flow::StepRecord record;
+  EXPECT_FALSE(flow::deserialize_entry(key, sealed(flow::kWireVersion + 1), a,
+                                       writes, record)
+                   .ok());
+  // The same bytes at the current version decode: the version alone failed.
+  EXPECT_TRUE(flow::deserialize_entry(key, sealed(flow::kWireVersion), a,
+                                      writes, record)
+                  .ok());
+  EXPECT_EQ(record.name, "power");
 }
 
 }  // namespace

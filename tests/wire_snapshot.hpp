@@ -1,6 +1,6 @@
-// A flow snapshot in wire format v4, the way the second-level cache holds
-// it: one blob per heap artifact under its content address, plus the
-// manifest that names them. Shared by the serialization tests.
+// A reference-flow run in wire format v5, the way the second-level cache
+// holds it: one sealed entry per step, under that step's key. Shared by the
+// serialization tests.
 #pragma once
 
 #include <cstdint>
@@ -12,36 +12,37 @@
 namespace eurochip::wire_test {
 
 struct WireSnapshot {
-  flow::ArtifactAddresses addresses{};
-  std::vector<std::vector<std::uint8_t>> blobs =
-      std::vector<std::vector<std::uint8_t>>(flow::kArtifactSlots);
-  std::vector<std::uint8_t> manifest;
+  std::vector<util::Digest> keys;
+  std::vector<std::vector<std::uint8_t>> entries;
 };
 
+/// Splits `ctx`, the end state of a reference-flow run over ctx.config and
+/// ctx.artifacts.design, into one entry per step: the slots the step
+/// writes, as `ctx` holds them, and the step's record.
 inline WireSnapshot to_wire(const flow::FlowContext& ctx) {
+  const flow::FlowTemplate tmpl = flow::reference_template();
   WireSnapshot wire;
-  flow::for_each_artifact(ctx.artifacts, [&](std::size_t slot, const auto& p) {
-    if (!p) return;
-    wire.blobs[slot] = flow::artifact_blob(ctx.artifacts, slot);
-    wire.addresses[slot] =
-        flow::artifact_address(slot, wire.blobs[slot], wire.addresses);
-  });
-  wire.manifest =
-      flow::serialize_manifest(ctx.artifacts, ctx.steps, wire.addresses);
+  std::vector<bool> keyable;
+  tmpl.step_keys(*ctx.artifacts.design, ctx.config, &wire.keys, &keyable);
+  for (std::size_t i = 0; i < tmpl.steps().size(); ++i) {
+    wire.entries.push_back(flow::serialize_entry(
+        wire.keys[i], ctx.artifacts, tmpl.steps()[i].writes, ctx.steps[i]));
+  }
   return wire;
 }
 
-/// Reads the manifest, then every artifact it names from `wire.blobs`.
+/// Decodes every entry of `wire` into `ctx`, in step order.
 inline util::Status from_wire(const WireSnapshot& wire,
                               flow::FlowContext& ctx) {
-  flow::ArtifactAddresses addresses{};
-  util::Status st = flow::deserialize_manifest(wire.manifest, ctx, addresses);
-  for (std::size_t slot = 0; st.ok() && slot < flow::kArtifactSlots; ++slot) {
-    if (addresses[slot] == util::Digest{}) continue;
-    st = flow::read_artifact_blob(slot, wire.blobs[slot], addresses,
-                                  ctx.artifacts);
+  for (std::size_t i = 0; i < wire.entries.size(); ++i) {
+    flow::ArtifactMask writes = 0;
+    flow::StepRecord record;
+    util::Status st = flow::deserialize_entry(wire.keys[i], wire.entries[i],
+                                              ctx.artifacts, writes, record);
+    if (!st.ok()) return st;
+    ctx.steps.push_back(std::move(record));
   }
-  return st;
+  return util::Status::Ok();
 }
 
 }  // namespace eurochip::wire_test
